@@ -2,7 +2,9 @@
 //! covering the kernels the perf work targets — HCI encode/decode, the
 //! AES-CCM link cipher (scalar and batched `open_many`), the batched
 //! eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
-//! loop, and the disabled-telemetry hook (pinning the zero-cost-when-off
+//! loop, the P-256 field multiply, key generation and ECDH (the Stage-1
+//! exchange behind every simulated pairing), and the disabled-telemetry
+//! hook (pinning the zero-cost-when-off
 //! contract of the live telemetry tier) — plus end-to-end wall times for
 //! the table drivers and a
 //! `throughput` section with the batched sweep figures
@@ -29,7 +31,9 @@ use blap::eavesdrop::decrypt_capture_batched;
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
 use blap::{addrs, extract};
+use blap_crypto::bigint::U256;
 use blap_crypto::ccm::{OpenBatch, SealedFrame};
+use blap_crypto::p256::{FieldElement, KeyPair};
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
 use blap_sim::{profiles, SniffedFrame, World};
@@ -224,6 +228,33 @@ fn main() {
         black_box(e1::e1(black_box(&e1_key), &e1_rand, e1_addr));
     });
 
+    // P-256: two key generations plus two ECDHs per simulated pairing,
+    // nearly all of a campaign trial's time, and the field multiply
+    // underneath both.
+    let fe_a = FieldElement::from_u256(U256::from_hex(
+        "deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788",
+    ));
+    let fe_b = FieldElement::from_u256(U256::from_hex(
+        "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
+    ));
+    let p256_fe_mul = ns_per_op(200_000, || {
+        black_box(black_box(fe_a).mul(black_box(&fe_b)));
+    });
+    let p256_keygen = ns_per_op(200, || {
+        black_box(KeyPair::from_rng_bytes(black_box([0x42; 32])).expect("nonzero secret"));
+    });
+    let local = KeyPair::from_rng_bytes([0x42; 32]).expect("nonzero secret");
+    let remote = KeyPair::from_rng_bytes([0x17; 32])
+        .expect("nonzero secret")
+        .public();
+    let p256_ecdh = ns_per_op(100, || {
+        black_box(
+            local
+                .diffie_hellman(black_box(&remote))
+                .expect("valid public key"),
+        );
+    });
+
     // Per-candidate pincrack cost: a full 4-digit-space scan for a PIN
     // near the end of the space, divided by the attempts it reports.
     let capture = LegacyPairingCapture::synthesize(
@@ -319,6 +350,9 @@ fn main() {
         "    \"pincrack_candidate\": {},",
         json_number(pincrack_candidate)
     );
+    println!("    \"p256_fe_mul\": {},", json_number(p256_fe_mul));
+    println!("    \"p256_keygen\": {},", json_number(p256_keygen));
+    println!("    \"p256_ecdh\": {},", json_number(p256_ecdh));
     println!(
         "    \"telemetry_disabled\": {}",
         json_number(telemetry_disabled)

@@ -20,10 +20,17 @@ use blap_types::{BdAddr, Duration, LinkKey, ServiceUuid};
 #[global_allocator]
 static GLOBAL: prof::CountingAlloc = prof::CountingAlloc;
 
-/// The exact-count assertions below read process-wide counters, so the
-/// tests in this binary must not allocate concurrently with each other's
-/// measurement windows.
+/// Runs the tests one at a time. The counts are per thread, so this is not
+/// what keeps a window clean; it keeps process-global state (lazily built
+/// tables, the profiler's enable flag) from changing under one. A failed
+/// test poisons it, which must not fail every test after it.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn allocations_during(f: impl FnOnce()) -> usize {
     let (count, _bytes) = prof::allocations_during(f);
@@ -44,7 +51,7 @@ fn capture_for(pin: &[u8]) -> LegacyPairingCapture {
 
 #[test]
 fn exhaustive_miss_sweep_allocates_only_worker_scratch() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     // Plant a 6-digit PIN but sweep only up to 4 digits: all 11,110
     // candidates run the full batch verdict chain and miss.
     let capture = capture_for(b"987654");
@@ -90,7 +97,7 @@ fn eavesdrop_capture() -> (Vec<SniffedFrame>, LinkKey, BdAddr, BdAddr) {
 
 #[test]
 fn batched_decrypt_allocates_per_plaintext_not_per_attempt() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let (frames, key, c_addr, m_addr) = eavesdrop_capture();
     let plain = decrypt_capture_batched(&frames, key, c_addr, m_addr);
     assert!(!plain.is_empty(), "fixture must decrypt something");
@@ -115,7 +122,7 @@ fn batched_decrypt_allocates_per_plaintext_not_per_attempt() {
 
 #[test]
 fn key_confirm_batch_reuses_scratch_across_calls() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let (frames, key, c_addr, m_addr) = eavesdrop_capture();
     let mut confirm = KeyConfirm::new(&frames, c_addr, m_addr).expect("probe frame exists");
     let candidates = [key; 2];
@@ -141,7 +148,7 @@ fn key_confirm_batch_reuses_scratch_across_calls() {
 
 #[test]
 fn hit_sweep_allocates_scratch_and_result_only() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let capture = capture_for(b"2042");
     assert!(crack_numeric_pin_with(&capture, 4, Jobs::new(1)).is_some());
     let count = allocations_during(|| {

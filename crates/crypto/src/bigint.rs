@@ -1,9 +1,16 @@
-//! Minimal 256-bit unsigned integer arithmetic for the P-256 implementation.
+//! Minimal 256-bit unsigned integer arithmetic: the audited oracle for the
+//! P-256 field, not its hot path.
 //!
-//! The representation is four little-endian `u64` limbs. The reduction path
-//! is a straightforward binary long division — slow compared to real crypto
-//! libraries but simple to audit, and plenty fast for a protocol simulation
-//! where a pairing performs a handful of scalar multiplications.
+//! The representation is four little-endian `u64` limbs. Reduction is a
+//! straightforward binary long division ([`U512::rem`]), and modular
+//! multiplication, exponentiation and inversion ([`U256::mul_mod`],
+//! [`U256::pow_mod`], [`U256::inv_mod_prime`]) are built on it —
+//! generic over the modulus, slow, and simple enough to check by eye.
+//! Curve arithmetic runs on the dedicated
+//! [`FieldElement`](crate::p256::FieldElement) instead; this module's
+//! modular paths exist so property tests can pin every field operation
+//! against an independent implementation. [`U256`] itself is also the
+//! public boundary type for coordinates, scalars and DHKey bytes.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -144,51 +151,6 @@ impl U256 {
             }
             out[i + 4] = out[i + 4].wrapping_add(carry as u64);
         }
-        U512 { limbs: out }
-    }
-
-    /// Full 256-bit squaring: `self * self` as 512 bits.
-    ///
-    /// Exploits product symmetry — the off-diagonal partial products are
-    /// computed once and doubled, nearly halving the 64×64 multiplies of
-    /// [`Self::widening_mul`]. Squaring dominates scalar multiplication
-    /// (every point double is mostly squarings), which makes this worth a
-    /// dedicated path.
-    pub fn widening_sq(self) -> U512 {
-        let a = self.limbs;
-        // Off-diagonal terms a_i * a_j for i < j.
-        let mut out = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in i + 1..4 {
-                let acc = out[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
-                out[i + j] = acc as u64;
-                carry = acc >> 64;
-            }
-            out[i + 4] = out[i + 4].wrapping_add(carry as u64);
-        }
-        // Double them (the sum is < 2^511, so no bit falls off the top).
-        let mut top = 0u64;
-        for limb in out.iter_mut() {
-            let next_top = *limb >> 63;
-            *limb = (*limb << 1) | top;
-            top = next_top;
-        }
-        debug_assert_eq!(top, 0);
-        // Add the diagonal squares a_i² at position 2i.
-        let mut carry = 0u128;
-        for k in 0..8 {
-            let mut acc = out[k] as u128 + carry;
-            carry = 0;
-            if k % 2 == 0 {
-                let sq = (a[k / 2] as u128) * (a[k / 2] as u128);
-                acc += sq & 0xffff_ffff_ffff_ffff;
-                carry = sq >> 64;
-            }
-            out[k] = acc as u64;
-            carry += acc >> 64;
-        }
-        debug_assert_eq!(carry, 0);
         U512 { limbs: out }
     }
 
@@ -416,23 +378,6 @@ mod tests {
         let (diff, borrow) = U256::ZERO.overflowing_sub(U256::ONE);
         assert!(borrow);
         assert_eq!(diff, max);
-    }
-
-    #[test]
-    fn widening_sq_matches_widening_mul() {
-        let samples = [
-            U256::ZERO,
-            U256::ONE,
-            U256::from_u64(0xffff_ffff_ffff_ffff),
-            U256::from_hex("deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788"),
-            U256::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
-            U256::from_hex("ffffffff00000001000000000000000000000000fffffffffffffffffffffffe"),
-            U256::from_limbs([u64::MAX, 0, u64::MAX, 0]),
-            U256::from_limbs([0, u64::MAX, 0, u64::MAX]),
-        ];
-        for a in samples {
-            assert_eq!(a.widening_sq(), a.widening_mul(a), "squaring {a}");
-        }
     }
 
     #[test]

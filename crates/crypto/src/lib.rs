@@ -8,8 +8,9 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (validated against published vectors),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104; validated against RFC 4231 vectors),
-//! * [`p256`] — NIST P-256 elliptic-curve Diffie-Hellman on a from-scratch
-//!   256-bit integer stack ([`bigint`]),
+//! * [`p256`] — NIST P-256 elliptic-curve Diffie-Hellman on a dedicated
+//!   field element, pinned against the slow 256-bit integer stack
+//!   ([`bigint`]) that also carries the public coordinate/scalar types,
 //! * [`ssp`] — the Secure Simple Pairing functions `f1`, `f2`, `f3`, `g` and
 //!   the Secure-Connections functions `h3`, `h4`, `h5`,
 //! * [`saferplus`] + [`e1`] — the legacy SAFER+-based `E1`/`E21`/`E22`/`E3`

@@ -3,13 +3,16 @@
 //! Secure Simple Pairing's Authentication Stage 1 exchanges P-256 public
 //! keys (P-192 for pre-4.1 devices); the shared secret `DHKey` feeds the
 //! `f2` link-key derivation. This module implements the curve from its
-//! domain parameters on top of [`crate::bigint`]: fast Solinas reduction in
-//! the field, Jacobian-coordinate group arithmetic, windowed-NAF scalar
-//! multiplication (with a precomputed fixed-base table for the generator),
-//! and public-key validation (the check whose absence enabled the
-//! Biham–Neumann invalid-curve attack cited by the paper).
+//! domain parameters: a dedicated field element ([`FieldElement`]: 4×u64
+//! canonical limbs, hardcoded Solinas fold, branch-free add/sub,
+//! addition-chain inversion), Jacobian-coordinate group arithmetic,
+//! windowed-NAF scalar multiplication (with a precomputed fixed-base table
+//! for the generator), and public-key validation (the check whose absence
+//! enabled the Biham–Neumann invalid-curve attack cited by the paper).
+//! [`U256`] appears only at the public boundary: point coordinates,
+//! scalars, [`field_mul`] and the DHKey bytes.
 //!
-//! Correctness is established structurally: the fast field reduction is
+//! Correctness is established structurally: every field operation is
 //! property-tested against the slow binary long division in
 //! [`crate::bigint`], the wNAF and fixed-base multipliers against the
 //! retained [`Point::mul_double_and_add`] reference, the generator
@@ -20,31 +23,24 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::bigint::{U256, U512};
+use crate::bigint::U256;
 
 // Domain parameters as limb constants: the previous accessors re-parsed
 // hex strings, which put a heap-allocating `format!` inside every field
 // operation of every point double — by far the dominant cost of a pairing.
-const P: U256 = U256::from_limbs([
+const P: [u64; 4] = [
     0xffff_ffff_ffff_ffff,
     0x0000_0000_ffff_ffff,
     0x0000_0000_0000_0000,
     0xffff_ffff_0000_0001,
-]);
-/// `2^256 - p` (the additive fold constant for carries past 2^256).
-const P_COMP: U256 = U256::from_limbs([
-    0x0000_0000_0000_0001,
-    0xffff_ffff_0000_0000,
-    0xffff_ffff_ffff_ffff,
-    0x0000_0000_ffff_fffe,
-]);
+];
 const N: U256 = U256::from_limbs([
     0xf3b9_cac2_fc63_2551,
     0xbce6_faad_a717_9e84,
     0xffff_ffff_ffff_ffff,
     0xffff_ffff_0000_0000,
 ]);
-const B: U256 = U256::from_limbs([
+const B: FieldElement = FieldElement([
     0x3bce_3c3e_27d2_604b,
     0x651d_06b0_cc53_b0f6,
     0xb3eb_bd55_7698_86bc,
@@ -65,7 +61,7 @@ const GY: U256 = U256::from_limbs([
 
 /// The field prime `p = 2^256 - 2^224 + 2^192 + 2^96 - 1`.
 pub fn field_prime() -> U256 {
-    P
+    U256::from_limbs(P)
 }
 
 /// The group order `n`.
@@ -73,167 +69,287 @@ pub fn group_order() -> U256 {
     N
 }
 
-fn curve_b() -> U256 {
-    B
-}
-
 /// The base point `G`.
 pub fn generator() -> Point {
     Point::Affine { x: GX, y: GY }
 }
 
-// --- fast field arithmetic -------------------------------------------------
+// --- field element ---------------------------------------------------------
 
-/// Reduces a 512-bit product modulo the P-256 prime using the NIST/Solinas
-/// term decomposition over 32-bit words.
-pub(crate) fn reduce_wide(value: U512) -> U256 {
-    // Split into sixteen little-endian 32-bit words c0..c15.
-    let limbs = {
-        let mut l = [0u64; 8];
-        // U512 has no public limb accessor; round-trip through U256 halves.
-        // (Cheap: just byte plumbing.)
-        let bytes = u512_to_le_words(value);
-        l.copy_from_slice(&bytes);
-        l
-    };
-    let mut c = [0u32; 16];
-    for i in 0..8 {
-        c[2 * i] = limbs[i] as u32;
-        c[2 * i + 1] = (limbs[i] >> 32) as u32;
+/// An element of the P-256 base field: four little-endian `u64` limbs,
+/// always canonical (`< p`).
+///
+/// Canonical limbs rather than Montgomery form make conversion to and from
+/// [`U256`] a copy, so coordinates and DHKey bytes leave the field exactly
+/// as its limbs hold them. `add`/`sub`/`double`/`neg` select with masks
+/// instead of branching; `mul`/`sq` accumulate schoolbook rows of u128
+/// limb products and fold the 512-bit result with a straight-line Solinas
+/// reduction; `inv` runs a fixed 255-squaring, 12-multiply
+/// addition chain. The slow paths in [`crate::bigint`] (`mul_mod`,
+/// `add_mod`, `sub_mod`, `inv_mod_prime`) are the oracle these are
+/// property-tested against.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FieldElement([u64; 4]);
+
+/// `a + b + carry`, returning `(sum, carry out)`.
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `a - b - borrow`, returning `(difference, borrow out)`.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
+    (t as u64, (t >> 127) as u64)
+}
+
+/// Reduces `carry·2^256 + r` (known to be `< 2p`) to canonical form with
+/// one masked conditional subtraction of `p`.
+#[inline(always)]
+fn sub_p_unless_below(r: [u64; 4], carry: u64) -> FieldElement {
+    let (d0, b) = sbb(r[0], P[0], 0);
+    let (d1, b) = sbb(r[1], P[1], b);
+    let (d2, b) = sbb(r[2], P[2], b);
+    let (d3, b) = sbb(r[3], P[3], b);
+    // Keep `r` only when it is already below p: the subtraction borrowed
+    // and no carry bit sits above it.
+    let keep = (b & !carry).wrapping_neg();
+    FieldElement([
+        (r[0] & keep) | (d0 & !keep),
+        (r[1] & keep) | (d1 & !keep),
+        (r[2] & keep) | (d2 & !keep),
+        (r[3] & keep) | (d3 & !keep),
+    ])
+}
+
+/// Solinas reduction of a 512-bit little-endian value modulo p.
+///
+/// Over 32-bit words `c0..c15` the FIPS 186 decomposition gives
+/// `s1 + 2s2 + 2s3 + s4 + s5 - s6 - s7 - s8 - s9`; each output word below
+/// is that sum restricted to one word position, plus the matching word of
+/// `5p`, which keeps the total positive (the four subtracted terms are
+/// below `4·2^256 < 5p`) and below `12·2^256`. The first carry pass leaves
+/// a carry `k` in `0..=11` at `2^256`; folding `k·2^256 ≡ k·(2^224 - 2^192
+/// - 2^96 + 1)` and a second pass leave a value below `2^256 + 11·2^224`,
+/// i.e. below `2p`, for one masked conditional subtraction to finish.
+#[inline(always)]
+fn reduce(t: [u64; 8]) -> FieldElement {
+    const LO: i64 = 0xffff_ffff;
+    let lo = |w: u64| (w & 0xffff_ffff) as i64;
+    let hi = |w: u64| (w >> 32) as i64;
+    let (c0, c1, c2, c3) = (lo(t[0]), hi(t[0]), lo(t[1]), hi(t[1]));
+    let (c4, c5, c6, c7) = (lo(t[2]), hi(t[2]), lo(t[3]), hi(t[3]));
+    let (c8, c9, c10, c11) = (lo(t[4]), hi(t[4]), lo(t[5]), hi(t[5]));
+    let (c12, c13, c14, c15) = (lo(t[6]), hi(t[6]), lo(t[7]), hi(t[7]));
+
+    // Word sums; the words of 5p are (5·LO, 5, 0, 0, 0, 5·LO, 5·LO, 5·LO)
+    // from high to low.
+    let a0 = c0 + c8 + c9 - c11 - c12 - c13 - c14 + 5 * LO;
+    let a1 = c1 + c9 + c10 - c12 - c13 - c14 - c15 + 5 * LO;
+    let a2 = c2 + c10 + c11 - c13 - c14 - c15 + 5 * LO;
+    let a3 = c3 + 2 * (c11 + c12) + c13 - c15 - c8 - c9;
+    let a4 = c4 + 2 * (c12 + c13) + c14 - c9 - c10;
+    let a5 = c5 + 2 * (c13 + c14) + c15 - c10 - c11;
+    let a6 = c6 + 3 * c14 + 2 * c15 + c13 - c8 - c9 + 5;
+    let a7 = c7 + 3 * c15 + c8 - c10 - c11 - c12 - c13 + 5 * LO;
+
+    // First carry pass (arithmetic shifts carry the sign).
+    let a1 = a1 + (a0 >> 32);
+    let a2 = a2 + (a1 >> 32);
+    let a3 = a3 + (a2 >> 32);
+    let a4 = a4 + (a3 >> 32);
+    let a5 = a5 + (a4 >> 32);
+    let a6 = a6 + (a5 >> 32);
+    let a7 = a7 + (a6 >> 32);
+    let k = a7 >> 32;
+
+    // Fold k·2^256 and run the second pass.
+    let b0 = (a0 & LO) + k;
+    let b1 = (a1 & LO) + (b0 >> 32);
+    let b2 = (a2 & LO) + (b1 >> 32);
+    let b3 = (a3 & LO) - k + (b2 >> 32);
+    let b4 = (a4 & LO) + (b3 >> 32);
+    let b5 = (a5 & LO) + (b4 >> 32);
+    let b6 = (a6 & LO) - k + (b5 >> 32);
+    let b7 = (a7 & LO) + k + (b6 >> 32);
+    let carry = (b7 >> 32) as u64;
+
+    let word = |l: i64, h: i64| (l & LO) as u64 | ((h & LO) as u64) << 32;
+    sub_p_unless_below(
+        [word(b0, b1), word(b2, b3), word(b4, b5), word(b6, b7)],
+        carry,
+    )
+}
+
+impl FieldElement {
+    /// Zero.
+    pub const ZERO: FieldElement = FieldElement([0; 4]);
+    /// One.
+    pub const ONE: FieldElement = FieldElement([1, 0, 0, 0]);
+
+    /// Reduces a 256-bit value modulo p (one conditional subtraction:
+    /// every 256-bit value is below `2p`).
+    pub fn from_u256(v: U256) -> Self {
+        sub_p_unless_below(v.limbs(), 0)
     }
 
-    // Terms from FIPS 186 fast reduction for p256, given as big-endian word
-    // tuples (w7..w0); indices into c. `None` means zero.
-    const fn w(i: usize) -> Option<usize> {
-        Some(i)
+    /// The canonical value as a [`U256`].
+    pub fn to_u256(self) -> U256 {
+        U256::from_limbs(self.0)
     }
-    let z: Option<usize> = None;
-    // Each row is (w7, w6, w5, w4, w3, w2, w1, w0).
-    let terms: [([Option<usize>; 8], i64); 9] = [
-        ([w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0)], 1), // s1
-        ([w(15), w(14), w(13), w(12), w(11), z, z, z], 2),     // s2
-        ([z, w(15), w(14), w(13), w(12), z, z, z], 2),         // s3
-        ([w(15), w(14), z, z, z, w(10), w(9), w(8)], 1),       // s4
-        ([w(8), w(13), w(15), w(14), w(13), w(11), w(10), w(9)], 1), // s5
-        ([w(10), w(8), z, z, z, w(13), w(12), w(11)], -1),     // s6
-        ([w(11), w(9), z, z, w(15), w(14), w(13), w(12)], -1), // s7
-        ([w(12), z, w(10), w(9), w(8), w(15), w(14), w(13)], -1), // s8
-        ([w(13), z, w(11), w(10), w(9), z, w(15), w(14)], -1), // s9
-    ];
 
-    // Accumulate word-wise with a signed accumulator.
-    let mut acc = [0i64; 8];
-    for (words, sign) in terms {
-        for (be_idx, src) in words.iter().enumerate() {
-            if let Some(ci) = src {
-                let le_idx = 7 - be_idx;
-                acc[le_idx] += sign * c[*ci] as i64;
+    /// Whether this is the zero element.
+    pub fn is_zero(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// `self + rhs mod p`.
+    #[inline]
+    pub fn add(&self, rhs: &Self) -> Self {
+        let (a, b) = (self.0, rhs.0);
+        let (s0, c) = adc(a[0], b[0], 0);
+        let (s1, c) = adc(a[1], b[1], c);
+        let (s2, c) = adc(a[2], b[2], c);
+        let (s3, c) = adc(a[3], b[3], c);
+        sub_p_unless_below([s0, s1, s2, s3], c)
+    }
+
+    /// `self - rhs mod p`: subtract, then add p back under the borrow mask.
+    #[inline]
+    pub fn sub(&self, rhs: &Self) -> Self {
+        let (a, b) = (self.0, rhs.0);
+        let (d0, w) = sbb(a[0], b[0], 0);
+        let (d1, w) = sbb(a[1], b[1], w);
+        let (d2, w) = sbb(a[2], b[2], w);
+        let (d3, w) = sbb(a[3], b[3], w);
+        let mask = w.wrapping_neg();
+        let (r0, c) = adc(d0, P[0] & mask, 0);
+        let (r1, c) = adc(d1, P[1] & mask, c);
+        let (r2, c) = adc(d2, P[2] & mask, c);
+        let (r3, _) = adc(d3, P[3] & mask, c);
+        FieldElement([r0, r1, r2, r3])
+    }
+
+    /// `2·self mod p`.
+    #[inline]
+    pub fn double(&self) -> Self {
+        self.add(self)
+    }
+
+    /// `-self mod p` (zero stays zero).
+    #[inline]
+    pub fn neg(&self) -> Self {
+        FieldElement::ZERO.sub(self)
+    }
+
+    /// `self / 2 mod p`: add p under the odd-value mask (p is odd, so the
+    /// sum is even), then shift the 257-bit sum right by one.
+    #[inline]
+    fn half(&self) -> Self {
+        let a = self.0;
+        let mask = (a[0] & 1).wrapping_neg();
+        let (s0, c) = adc(a[0], P[0] & mask, 0);
+        let (s1, c) = adc(a[1], P[1] & mask, c);
+        let (s2, c) = adc(a[2], P[2] & mask, c);
+        let (s3, c) = adc(a[3], P[3] & mask, c);
+        FieldElement([
+            (s0 >> 1) | (s1 << 63),
+            (s1 >> 1) | (s2 << 63),
+            (s2 >> 1) | (s3 << 63),
+            (s3 >> 1) | (c << 63),
+        ])
+    }
+
+    /// `self · rhs mod p`: schoolbook rows of 16 u128 multiply-accumulates
+    /// into the 512-bit product, then the Solinas fold.
+    #[inline]
+    pub fn mul(&self, rhs: &Self) -> Self {
+        let (a, b) = (self.0, rhs.0);
+        let mut t = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u64;
+            for j in 0..4 {
+                let acc = t[i + j] as u128 + a[i] as u128 * b[j] as u128 + carry as u128;
+                t[i + j] = acc as u64;
+                carry = (acc >> 64) as u64;
             }
+            t[i + 4] = carry;
         }
+        reduce(t)
     }
 
-    // Carry-propagate into 32-bit words; `carry` may go negative.
-    let mut words = [0u32; 8];
-    let mut carry: i64 = 0;
-    for i in 0..8 {
-        let v = acc[i] + carry;
-        words[i] = (v & 0xffff_ffff) as u32;
-        carry = v >> 32; // arithmetic shift keeps the sign
+    /// `self² mod p`: the six off-diagonal products are computed once and
+    /// doubled, so a square costs 10 limb products, not 16.
+    #[inline(always)]
+    pub fn sq(&self) -> Self {
+        let a = self.0;
+        let mut t = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u64;
+            for j in i + 1..4 {
+                let acc = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+                t[i + j] = acc as u64;
+                carry = (acc >> 64) as u64;
+            }
+            t[i + 4] = carry;
+        }
+        // Double the off-diagonal sum (below 2^511, so no bit falls off)
+        // while adding each diagonal square a_i² at limb 2i.
+        let (mut shifted_out, mut carry) = (0u64, 0u128);
+        for i in 0..4 {
+            let square = a[i] as u128 * a[i] as u128;
+            let lo = (t[2 * i] << 1) | shifted_out;
+            let hi = (t[2 * i + 1] << 1) | (t[2 * i] >> 63);
+            shifted_out = t[2 * i + 1] >> 63;
+            let s = lo as u128 + (square as u64) as u128 + carry;
+            t[2 * i] = s as u64;
+            let s = hi as u128 + (square >> 64) + (s >> 64);
+            t[2 * i + 1] = s as u64;
+            carry = s >> 64;
+        }
+        reduce(t)
     }
 
-    let mut r = u256_from_le_words(words);
-    let p = P;
-    // r_actual = r + carry * 2^256; fold the carry in using
-    // 2^256 ≡ 2^256 - p (mod p).
-    let fold = P_COMP;
-    while carry > 0 {
-        let (sum, overflow) = r.overflowing_add(fold);
-        r = sum;
-        carry -= 1;
-        if overflow {
-            carry += 1;
+    /// `self^(2^n)`: `n` successive squarings.
+    fn sq_n(&self, n: u32) -> Self {
+        let mut r = *self;
+        for _ in 0..n {
+            r = r.sq();
         }
-        if r >= p {
-            r = r.overflowing_sub(p).0;
+        r
+    }
+
+    /// Multiplicative inverse (`None` for zero) as `self^(p-2)` by the
+    /// addition chain for `p - 2 = 2^256 - 2^224 + 2^192 + 2^96 - 3`:
+    /// 255 squarings and 12 multiplications. `xk` is `self^(2^k - 1)`.
+    pub fn inv(&self) -> Option<Self> {
+        if self.is_zero() {
+            return None;
         }
+        let x2 = self.sq().mul(self);
+        let x3 = x2.sq().mul(self);
+        let x6 = x3.sq_n(3).mul(&x3);
+        let x12 = x6.sq_n(6).mul(&x6);
+        let x15 = x12.sq_n(3).mul(&x3);
+        let x16 = x15.sq().mul(self);
+        let x32 = x16.sq_n(16).mul(&x16);
+        let i53 = x32.sq_n(15);
+        let x47 = i53.mul(&x15);
+        let i263 = i53.sq_n(17).mul(self).sq_n(143).mul(&x47).sq_n(47);
+        Some(i263.mul(&x47).sq_n(2).mul(self))
     }
-    while carry < 0 {
-        let (diff, borrow) = r.overflowing_sub(fold);
-        r = diff;
-        carry += 1;
-        if borrow {
-            carry -= 1;
-        }
-    }
-    while r >= p {
-        r = r.overflowing_sub(p).0;
-    }
-    r
 }
 
-fn u512_to_le_words(value: U512) -> [u64; 8] {
-    value.limbs_le()
-}
-
-fn u256_from_le_words(words: [u32; 8]) -> U256 {
-    let mut limbs = [0u64; 4];
-    for i in 0..4 {
-        limbs[i] = words[2 * i] as u64 | (words[2 * i + 1] as u64) << 32;
-    }
-    U256::from_limbs(limbs)
-}
-
-fn fe_mul(a: U256, b: U256) -> U256 {
-    reduce_wide(a.widening_mul(b))
-}
-
-/// Multiplies two field elements modulo the P-256 prime using the fast
-/// Solinas reduction (the hot path of every point operation). Exposed so
+/// Multiplies two field elements modulo the P-256 prime on the dedicated
+/// field element (the hot path of every point operation). Exposed so
 /// external property tests can pin it against the slow binary-division
 /// reduction in [`crate::bigint`].
 pub fn field_mul(a: U256, b: U256) -> U256 {
-    fe_mul(a.rem_short(P), b.rem_short(P))
-}
-
-fn fe_sq(a: U256) -> U256 {
-    reduce_wide(a.widening_sq())
-}
-
-fn fe_add(a: U256, b: U256) -> U256 {
-    a.add_mod(b, P)
-}
-
-fn fe_sub(a: U256, b: U256) -> U256 {
-    a.sub_mod(b, P)
-}
-
-fn fe_double(a: U256) -> U256 {
-    fe_add(a, a)
-}
-
-fn fe_neg(a: U256) -> U256 {
-    if a.is_zero() {
-        a
-    } else {
-        P.overflowing_sub(a).0
-    }
-}
-
-/// Field inversion by Fermat's little theorem, using the fast multiplier.
-fn fe_inv(a: U256) -> Option<U256> {
-    if a.is_zero() {
-        return None;
-    }
-    let exp = P.overflowing_sub(U256::from_u64(2)).0;
-    let mut result = U256::ONE;
-    let mut base = a;
-    for i in 0..exp.bits() {
-        if exp.bit(i) {
-            result = fe_mul(result, base);
-        }
-        base = fe_sq(base);
-    }
-    Some(result)
+    FieldElement::from_u256(a)
+        .mul(&FieldElement::from_u256(b))
+        .to_u256()
 }
 
 // --- group arithmetic ------------------------------------------------------
@@ -291,68 +407,72 @@ pub enum Point {
     },
 }
 
+/// An affine point inside the field layer (scalar-multiplication tables).
+type AffineFe = (FieldElement, FieldElement);
+
 /// Jacobian-coordinate point used internally: `(X, Y, Z)` with
 /// `x = X/Z²`, `y = Y/Z³`; infinity encoded as `Z = 0`.
 #[derive(Clone, Copy, Debug)]
 struct Jacobian {
-    x: U256,
-    y: U256,
-    z: U256,
+    x: FieldElement,
+    y: FieldElement,
+    z: FieldElement,
 }
 
 impl Jacobian {
     const INFINITY: Jacobian = Jacobian {
-        x: U256::ONE,
-        y: U256::ONE,
-        z: U256::ZERO,
+        x: FieldElement::ONE,
+        y: FieldElement::ONE,
+        z: FieldElement::ZERO,
     };
+
+    fn from_affine_fe((x, y): AffineFe) -> Jacobian {
+        Jacobian {
+            x,
+            y,
+            z: FieldElement::ONE,
+        }
+    }
 
     fn from_affine(p: &Point) -> Jacobian {
         match p {
             Point::Infinity => Jacobian::INFINITY,
-            Point::Affine { x, y } => Jacobian {
-                x: *x,
-                y: *y,
-                z: U256::ONE,
-            },
+            Point::Affine { x, y } => {
+                Jacobian::from_affine_fe((FieldElement::from_u256(*x), FieldElement::from_u256(*y)))
+            }
         }
     }
 
     fn to_affine(self) -> Point {
-        if self.z.is_zero() {
+        let Some(z_inv) = self.z.inv() else {
             return Point::Infinity;
-        }
-        let z_inv = fe_inv(self.z).expect("nonzero z");
-        let z_inv2 = fe_sq(z_inv);
-        let z_inv3 = fe_mul(z_inv2, z_inv);
+        };
+        let z_inv2 = z_inv.sq();
+        let z_inv3 = z_inv2.mul(&z_inv);
         Point::Affine {
-            x: fe_mul(self.x, z_inv2),
-            y: fe_mul(self.y, z_inv3),
+            x: self.x.mul(&z_inv2).to_u256(),
+            y: self.y.mul(&z_inv3).to_u256(),
         }
     }
 
-    /// Point doubling (dbl-2001-b style, a = -3).
+    /// Point doubling for a = -3 (4M + 4S): with α = 3(X - Z²)(X + Z²)
+    /// and β = 4XY², `X3 = α² - 2β`, `Y3 = α(β - X3) - 8Y⁴`, `Z3 = 2YZ`.
+    /// Squaring 2Y rather than Y and halving once for 8Y⁴ keeps the
+    /// linear operations at ten — they cost a fifth of a multiply each,
+    /// and the wNAF loop runs ~256 doublings per ECDH.
     fn double(&self) -> Jacobian {
         if self.z.is_zero() || self.y.is_zero() {
             return Jacobian::INFINITY;
         }
-        let delta = fe_sq(self.z);
-        let gamma = fe_sq(self.y);
-        let beta = fe_mul(self.x, gamma);
-        let alpha = {
-            let t1 = fe_sub(self.x, delta);
-            let t2 = fe_add(self.x, delta);
-            fe_mul(fe_add(fe_double(t1), t1), t2) // 3*(x-δ) * (x+δ)
-        };
-        let beta4 = fe_double(fe_double(beta));
-        let beta8 = fe_double(beta4);
-        let x3 = fe_sub(fe_sq(alpha), beta8);
-        let z3 = {
-            let t = fe_add(self.y, self.z);
-            fe_sub(fe_sub(fe_sq(t), gamma), delta)
-        };
-        let gamma2_8 = fe_double(fe_double(fe_double(fe_sq(gamma))));
-        let y3 = fe_sub(fe_mul(alpha, fe_sub(beta4, x3)), gamma2_8);
+        let zz = self.z.sq();
+        let t = self.x.sub(&zz).mul(&self.x.add(&zz));
+        let alpha = t.double().add(&t);
+        let y2 = self.y.double();
+        let z3 = y2.mul(&self.z);
+        let y2y2 = y2.sq(); // 4Y²
+        let beta = y2y2.mul(&self.x);
+        let x3 = alpha.sq().sub(&beta.double());
+        let y3 = alpha.mul(&beta.sub(&x3)).sub(&y2y2.sq().half());
         Jacobian {
             x: x3,
             y: y3,
@@ -360,7 +480,10 @@ impl Jacobian {
         }
     }
 
-    /// General point addition (add-2007-bl).
+    /// General point addition (12M + 4S): with `U1 = X1·Z2²`,
+    /// `U2 = X2·Z1²`, `S1 = Y1·Z2³`, `S2 = Y2·Z1³`, `H = U2 - U1` and
+    /// `R = S2 - S1`: `X3 = R² - H³ - 2U1H²`, `Y3 = R(U1H² - X3) - S1H³`,
+    /// `Z3 = Z1·Z2·H`.
     fn add(&self, other: &Jacobian) -> Jacobian {
         if self.z.is_zero() {
             return *other;
@@ -368,69 +491,61 @@ impl Jacobian {
         if other.z.is_zero() {
             return *self;
         }
-        let z1z1 = fe_sq(self.z);
-        let z2z2 = fe_sq(other.z);
-        let u1 = fe_mul(self.x, z2z2);
-        let u2 = fe_mul(other.x, z1z1);
-        let s1 = fe_mul(fe_mul(self.y, other.z), z2z2);
-        let s2 = fe_mul(fe_mul(other.y, self.z), z1z1);
+        let z1z1 = self.z.sq();
+        let z2z2 = other.z.sq();
+        let u1 = self.x.mul(&z2z2);
+        let u2 = other.x.mul(&z1z1);
+        let s1 = self.y.mul(&other.z).mul(&z2z2);
+        let s2 = other.y.mul(&self.z).mul(&z1z1);
         if u1 == u2 {
             if s1 == s2 {
                 return self.double();
             }
             return Jacobian::INFINITY;
         }
-        let h = fe_sub(u2, u1);
-        let i = fe_sq(fe_double(h));
-        let j = fe_mul(h, i);
-        let r = fe_double(fe_sub(s2, s1));
-        let v = fe_mul(u1, i);
-        let x3 = fe_sub(fe_sub(fe_sq(r), j), fe_double(v));
-        let y3 = fe_sub(fe_mul(r, fe_sub(v, x3)), fe_double(fe_mul(s1, j)));
-        let z3 = {
-            let t = fe_sq(fe_add(self.z, other.z));
-            fe_mul(fe_sub(fe_sub(t, z1z1), z2z2), h)
-        };
+        let h = u2.sub(&u1);
+        let r = s2.sub(&s1);
+        let hh = h.sq();
+        let hhh = h.mul(&hh);
+        let v = u1.mul(&hh);
+        let x3 = r.sq().sub(&hhh).sub(&v.double());
+        let y3 = r.mul(&v.sub(&x3)).sub(&s1.mul(&hhh));
         Jacobian {
             x: x3,
             y: y3,
-            z: z3,
+            z: self.z.mul(&other.z).mul(&h),
         }
     }
 
-    /// Mixed addition with an affine point (madd-2007-bl, Z2 = 1): saves
-    /// 4M + 1S over the general [`Self::add`], which is why both scalar
-    /// multipliers normalize their tables to affine first.
-    fn madd(&self, x2: U256, y2: U256) -> Jacobian {
+    /// Mixed addition with an affine point: [`Self::add`] with `Z2 = 1`
+    /// (8M + 3S), which saves the second point's Z powers — the reason
+    /// both scalar multipliers normalize their tables to affine first.
+    /// Against madd-2007-bl's 7M + 4S it trades one squaring for one
+    /// multiply (the same cost here) and drops six linear operations.
+    fn madd(&self, (x2, y2): AffineFe) -> Jacobian {
         if self.z.is_zero() {
-            return Jacobian {
-                x: x2,
-                y: y2,
-                z: U256::ONE,
-            };
+            return Jacobian::from_affine_fe((x2, y2));
         }
-        let z1z1 = fe_sq(self.z);
-        let u2 = fe_mul(x2, z1z1);
-        let s2 = fe_mul(y2, fe_mul(self.z, z1z1));
+        let z1z1 = self.z.sq();
+        let u2 = x2.mul(&z1z1);
+        let s2 = y2.mul(&self.z.mul(&z1z1));
         if u2 == self.x {
             if s2 == self.y {
                 return self.double();
             }
             return Jacobian::INFINITY;
         }
-        let h = fe_sub(u2, self.x);
-        let hh = fe_sq(h);
-        let i = fe_double(fe_double(hh));
-        let j = fe_mul(h, i);
-        let r = fe_double(fe_sub(s2, self.y));
-        let v = fe_mul(self.x, i);
-        let x3 = fe_sub(fe_sub(fe_sq(r), j), fe_double(v));
-        let y3 = fe_sub(fe_mul(r, fe_sub(v, x3)), fe_double(fe_mul(self.y, j)));
-        let z3 = fe_sub(fe_sub(fe_sq(fe_add(self.z, h)), z1z1), hh);
+        let h = u2.sub(&self.x);
+        let r = s2.sub(&self.y);
+        let hh = h.sq();
+        let hhh = h.mul(&hh);
+        let v = self.x.mul(&hh);
+        let x3 = r.sq().sub(&hhh).sub(&v.double());
+        let y3 = r.mul(&v.sub(&x3)).sub(&self.y.mul(&hhh));
         Jacobian {
             x: x3,
             y: y3,
-            z: z3,
+            z: self.z.mul(&h),
         }
     }
 }
@@ -439,26 +554,22 @@ impl Jacobian {
 /// with a single field inversion (Montgomery's trick): prefix-multiply the
 /// Z coordinates, invert the product once, then walk back unwinding each
 /// individual inverse.
-fn batch_to_affine(points: &[Jacobian]) -> Vec<(U256, U256)> {
+fn batch_to_affine(points: &[Jacobian]) -> Vec<AffineFe> {
     let mut prefix = Vec::with_capacity(points.len());
-    let mut acc = U256::ONE;
+    let mut acc = FieldElement::ONE;
     for point in points {
-        acc = fe_mul(acc, point.z);
+        acc = acc.mul(&point.z);
         prefix.push(acc);
     }
-    let mut inv = fe_inv(acc).expect("batch contains no infinity");
-    let mut out = vec![(U256::ZERO, U256::ZERO); points.len()];
+    let mut inv = acc.inv().expect("batch contains no infinity");
+    let mut out = vec![(FieldElement::ZERO, FieldElement::ZERO); points.len()];
     for i in (0..points.len()).rev() {
-        let z_inv = if i == 0 {
-            inv
-        } else {
-            fe_mul(inv, prefix[i - 1])
-        };
-        inv = fe_mul(inv, points[i].z);
-        let z_inv2 = fe_sq(z_inv);
+        let z_inv = if i == 0 { inv } else { inv.mul(&prefix[i - 1]) };
+        inv = inv.mul(&points[i].z);
+        let z_inv2 = z_inv.sq();
         out[i] = (
-            fe_mul(points[i].x, z_inv2),
-            fe_mul(points[i].y, fe_mul(z_inv2, z_inv)),
+            points[i].x.mul(&z_inv2),
+            points[i].y.mul(&z_inv2.mul(&z_inv)),
         );
     }
     out
@@ -532,18 +643,10 @@ fn limbs_shr1(limbs: &mut [u64; 4]) {
 
 /// Windowed-NAF scalar multiplication for an arbitrary base point.
 fn mul_wnaf(base: &Point, k: &U256) -> Point {
-    let (bx, by) = match base {
-        Point::Infinity => return Point::Infinity,
-        Point::Affine { x, y } => (*x, *y),
-    };
-    if k.is_zero() {
+    if *base == Point::Infinity || k.is_zero() {
         return Point::Infinity;
     }
-    let base_jac = Jacobian {
-        x: bx,
-        y: by,
-        z: U256::ONE,
-    };
+    let base_jac = Jacobian::from_affine(base);
     let twice = base_jac.double();
     if twice.z.is_zero() {
         // y = 0: a 2-torsion input (impossible on P-256 itself, but `mul`
@@ -562,11 +665,10 @@ fn mul_wnaf(base: &Point, k: &U256) -> Point {
     for &digit in wnaf_digits(k).iter().rev() {
         acc = acc.double();
         if digit > 0 {
-            let (x, y) = table[(digit as usize - 1) / 2];
-            acc = acc.madd(x, y);
+            acc = acc.madd(table[(digit as usize - 1) / 2]);
         } else if digit < 0 {
             let (x, y) = table[((-digit) as usize - 1) / 2];
-            acc = acc.madd(x, fe_neg(y));
+            acc = acc.madd((x, y.neg()));
         }
     }
     acc.to_affine()
@@ -577,20 +679,16 @@ fn mul_wnaf(base: &Point, k: &U256) -> Point {
 const FB_WINDOWS: usize = 64;
 const FB_TABLE_PER_WINDOW: usize = 15;
 
-static GEN_TABLE: OnceLock<Vec<(U256, U256)>> = OnceLock::new();
+static GEN_TABLE: OnceLock<Vec<AffineFe>> = OnceLock::new();
 
 /// The precomputed generator table. Built once per process (~1k group
 /// additions + one batched inversion), it turns every subsequent `k·G`
 /// into at most 64 mixed additions with no doubles at all — keygen is the
 /// hot path of every simulated pairing, one per device per trial.
-fn gen_table() -> &'static [(U256, U256)] {
+fn gen_table() -> &'static [AffineFe] {
     GEN_TABLE.get_or_init(|| {
         let mut points = Vec::with_capacity(FB_WINDOWS * FB_TABLE_PER_WINDOW);
-        let mut window_base = Jacobian {
-            x: GX,
-            y: GY,
-            z: U256::ONE,
-        };
+        let mut window_base = Jacobian::from_affine(&generator());
         for _ in 0..FB_WINDOWS {
             // multiple walks j·(16^w·G) for j = 1..=15; one more addition
             // yields 16·(16^w·G), the next window's base.
@@ -613,8 +711,7 @@ fn mul_generator(k: &U256) -> Point {
     for window in 0..FB_WINDOWS {
         let digit = ((limbs[window / 16] >> (4 * (window % 16))) & 0xf) as usize;
         if digit != 0 {
-            let (x, y) = table[window * FB_TABLE_PER_WINDOW + digit - 1];
-            acc = acc.madd(x, y);
+            acc = acc.madd(table[window * FB_TABLE_PER_WINDOW + digit - 1]);
         }
     }
     acc.to_affine()
@@ -651,11 +748,10 @@ impl Point {
                 if *x >= p || *y >= p {
                     return false;
                 }
-                let y2 = fe_sq(*y);
-                let x3 = fe_mul(fe_sq(*x), *x);
-                let three_x = fe_add(fe_double(*x), *x);
-                let rhs = fe_add(fe_sub(x3, three_x), curve_b());
-                y2 == rhs
+                let (x, y) = (FieldElement::from_u256(*x), FieldElement::from_u256(*y));
+                let x3 = x.sq().mul(&x);
+                let three_x = x.double().add(&x);
+                y.sq() == x3.sub(&three_x).add(&B)
             }
         }
     }
@@ -675,10 +771,8 @@ impl Point {
     /// to [`Self::mul_double_and_add`].
     pub fn mul(&self, k: &Scalar) -> Point {
         let _prof = blap_obs::prof::scope("crypto.p256");
-        if let Point::Affine { x, y } = self {
-            if *x == GX && *y == GY {
-                return mul_generator(&k.0);
-            }
+        if *self == generator() {
+            return mul_generator(&k.0);
         }
         mul_wnaf(self, &k.0)
     }
@@ -799,23 +893,71 @@ impl KeyPair {
 mod tests {
     use super::*;
 
+    /// The oracle for a raw 512-bit value `hi·2^256 + lo`: binary long
+    /// division on `hi·(2^256 mod p) + lo`.
+    fn oracle_reduce(t: [u64; 8]) -> U256 {
+        let p = field_prime();
+        let hi = U256::from_limbs([t[4], t[5], t[6], t[7]]);
+        let lo = U256::from_limbs([t[0], t[1], t[2], t[3]]);
+        let two_256_mod_p = U256::ZERO.overflowing_sub(p).0;
+        hi.mul_mod(two_256_mod_p, p).add_mod(lo.rem_short(p), p)
+    }
+
+    /// Places 32-bit words `c0..c15` into eight little-endian limbs.
+    fn from_words(c: [u32; 16]) -> [u64; 8] {
+        std::array::from_fn(|i| c[2 * i] as u64 | (c[2 * i + 1] as u64) << 32)
+    }
+
     #[test]
     fn fast_reduction_matches_binary_division() {
-        // Pin the Solinas term table against the audited-slow path.
-        let p = field_prime();
+        // Pin the straight-line Solinas fold against the audited-slow path.
         let samples = [
             U256::from_u64(0),
             U256::from_u64(1),
             U256::from_hex("deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788"),
-            p.overflowing_sub(U256::ONE).0,
+            field_prime().overflowing_sub(U256::ONE).0,
             U256::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
             U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"),
         ];
         for a in samples {
             for b in samples {
-                let wide = a.widening_mul(b);
-                assert_eq!(reduce_wide(wide), wide.rem(p), "mismatch for {a} * {b}");
+                let limbs = a.widening_mul(b).limbs_le();
+                assert_eq!(
+                    reduce(limbs).to_u256(),
+                    oracle_reduce(limbs),
+                    "mismatch for {a} * {b}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn reduction_survives_extreme_accumulators() {
+        const M: u32 = u32::MAX;
+        // The largest 512-bit input.
+        let all_ones = [u64::MAX; 8];
+        // c9..c13 zero, every other word maximal: the top word sum `a7`
+        // reaches `5·2^32` and the first-pass carry its maximum, 9 (+4
+        // without the 5p bias; searched over all {0, 2^32-1} patterns).
+        let mut most_positive = [M; 16];
+        for w in &mut most_positive[9..=13] {
+            *w = 0;
+        }
+        // c9..c13 maximal, every other word zero: `a7` reaches `-4·2^32`
+        // and the carry its minimum, 0 (-4 without the bias).
+        let mut most_negative = [0u32; 16];
+        for w in &mut most_negative[9..=13] {
+            *w = M;
+        }
+        for t in [
+            all_ones,
+            [0; 8],
+            from_words(most_positive),
+            from_words(most_negative),
+            [u64::MAX, 0, u64::MAX, 0, u64::MAX, 0, u64::MAX, 0],
+            [0, u64::MAX, 0, u64::MAX, 0, u64::MAX, 0, u64::MAX],
+        ] {
+            assert_eq!(reduce(t).to_u256(), oracle_reduce(t), "limbs {t:x?}");
         }
     }
 
@@ -922,10 +1064,21 @@ mod tests {
     }
 
     #[test]
+    fn halving_inverts_doubling() {
+        let p_minus_1 = FieldElement::from_u256(field_prime().overflowing_sub(U256::ONE).0);
+        for v in [FieldElement::ZERO, FieldElement::ONE, p_minus_1, B] {
+            assert_eq!(v.half().double(), v, "{v:?}");
+            assert_eq!(v.double().half(), v, "{v:?}");
+        }
+    }
+
+    #[test]
     fn field_inversion() {
-        let a = U256::from_hex("123456789abcdef000000000000000000000000000000000fedcba9876543210");
-        let inv = fe_inv(a).unwrap();
-        assert_eq!(fe_mul(a, inv), U256::ONE);
-        assert_eq!(fe_inv(U256::ZERO), None);
+        let a = FieldElement::from_u256(U256::from_hex(
+            "123456789abcdef000000000000000000000000000000000fedcba9876543210",
+        ));
+        let inv = a.inv().unwrap();
+        assert_eq!(a.mul(&inv), FieldElement::ONE);
+        assert_eq!(FieldElement::ZERO.inv(), None);
     }
 }

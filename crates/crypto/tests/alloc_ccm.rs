@@ -13,24 +13,21 @@ use blap_obs::prof;
 #[global_allocator]
 static GLOBAL: prof::CountingAlloc = prof::CountingAlloc;
 
-/// The exact-count assertions below read process-wide counters, so the
-/// tests in this binary must not allocate concurrently with each other's
-/// measurement windows.
+/// Runs the tests one at a time. The counts are per thread, so this is not
+/// what keeps a window clean; it keeps process-global state (lazily built
+/// tables, the profiler's enable flag) from changing under one. A failed
+/// test poisons it, which must not fail every test after it.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Minimum allocation count over several windows: the counters are
-/// process-wide, so the libtest coordinator thread can allocate (status
-/// lines, spawning the next test) concurrently with one window — but not
-/// with all of them. A genuinely allocation-free steady state shows at
-/// least one clean window; a per-call allocation never does.
-fn min_allocations_during(mut f: impl FnMut()) -> usize {
-    (0..5)
-        .map(|_| {
-            let (count, _bytes) = prof::allocations_during(&mut f);
-            count as usize
-        })
-        .min()
-        .expect("non-empty window set")
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn allocations_during(f: impl FnOnce()) -> usize {
+    let (count, _bytes) = prof::allocations_during(f);
+    count as usize
 }
 
 fn sealed_frames(ccm: &Ccm, count: usize) -> Vec<([u8; 13], Vec<u8>, Vec<u8>)> {
@@ -48,14 +45,14 @@ fn sealed_frames(ccm: &Ccm, count: usize) -> Vec<([u8; 13], Vec<u8>, Vec<u8>)> {
 
 #[test]
 fn open_into_is_zero_alloc_once_warm() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let ccm = Ccm::new(&[0x42; 16]);
     let frames = sealed_frames(&ccm, 1);
     let (nonce, aad, ct) = &frames[0];
     let mut out = Vec::new();
     // Warm-up grows `out` to the payload length; steady state reuses it.
     ccm.open_into(nonce, aad, ct, &mut out).expect("open");
-    let count = min_allocations_during(|| {
+    let count = allocations_during(|| {
         for _ in 0..100 {
             ccm.open_into(nonce, aad, ct, &mut out).expect("open");
         }
@@ -69,14 +66,14 @@ fn open_into_is_zero_alloc_once_warm() {
 
 #[test]
 fn seal_into_is_zero_alloc_once_warm() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let ccm = Ccm::new(&[0x42; 16]);
     let nonce = [7u8; 13];
     let payload = [0x5A; 64];
     let mut out = Vec::new();
     ccm.seal_into(&nonce, b"hd", &payload, &mut out)
         .expect("seal");
-    let count = min_allocations_during(|| {
+    let count = allocations_during(|| {
         for _ in 0..100 {
             ccm.seal_into(&nonce, b"hd", &payload, &mut out)
                 .expect("seal");
@@ -91,7 +88,7 @@ fn seal_into_is_zero_alloc_once_warm() {
 
 #[test]
 fn open_many_into_is_zero_alloc_once_warm() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let ccm = Ccm::new(&[0x42; 16]);
     // A ragged batch: 2 full chunks plus a partial tail.
     let frames = sealed_frames(&ccm, 2 * FRAME_LANES + 3);
@@ -106,7 +103,7 @@ fn open_many_into_is_zero_alloc_once_warm() {
     let mut batch = OpenBatch::new();
     ccm.open_many_into(&views, &mut batch);
     assert!(batch.iter().all(|v| v.is_ok()));
-    let count = min_allocations_during(|| {
+    let count = allocations_during(|| {
         for _ in 0..20 {
             ccm.open_many_into(&views, &mut batch);
         }
@@ -121,7 +118,7 @@ fn open_many_into_is_zero_alloc_once_warm() {
 
 #[test]
 fn open_check_keys_is_zero_alloc_once_warm() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let ccms: Vec<Ccm> = (0..KEY_LANES as u8).map(|i| Ccm::new(&[i; 16])).collect();
     let refs: [&Ccm; KEY_LANES] = core::array::from_fn(|i| &ccms[i]);
     let frames = sealed_frames(&ccms[3], 1);
@@ -131,7 +128,7 @@ fn open_check_keys_is_zero_alloc_once_warm() {
         blap_crypto::ccm::open_check_keys(refs, nonce, aad, ct, &mut scratch),
         1 << 3
     );
-    let count = min_allocations_during(|| {
+    let count = allocations_during(|| {
         for _ in 0..100 {
             let mask = blap_crypto::ccm::open_check_keys(refs, nonce, aad, ct, &mut scratch);
             std::hint::black_box(mask);

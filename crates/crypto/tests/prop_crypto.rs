@@ -1,7 +1,7 @@
 //! Property tests for the cryptographic substrate.
 
 use blap_crypto::bigint::{U256, U512};
-use blap_crypto::p256;
+use blap_crypto::p256::{self, FieldElement};
 use blap_crypto::saferplus::{decrypt, encrypt, encrypt_prime, KeySchedule};
 use blap_crypto::sha256::{digest, Sha256};
 use blap_crypto::{e1, hmac, ssp};
@@ -126,8 +126,8 @@ proptest! {
 
     #[test]
     fn fast_reduction_matches_slow(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        // Pins the Solinas term table (fast path, `field_mul`) against
-        // binary long division (slow path, `mul_mod`/`rem`) for arbitrary
+        // Pins the Solinas fold (fast path, `field_mul`) against binary
+        // long division (slow path, `mul_mod`/`rem`) for arbitrary
         // products.
         let p = p256::field_prime();
         let a = U256::from_be_bytes(a).rem_short(p);
@@ -136,6 +136,163 @@ proptest! {
         prop_assert_eq!(p256::field_mul(a, b), U512::from_u256(U256::ZERO)
             .rem(p)
             .add_mod(a.mul_mod(b, p), p));
+    }
+
+    #[test]
+    fn field_inv_matches_fermat_oracle(a in any::<[u8; 32]>()) {
+        let p = p256::field_prime();
+        let a = U256::from_be_bytes(a);
+        prop_assert_eq!(fe(a).inv().map(FieldElement::to_u256), a.inv_mod_prime(p));
+    }
+}
+
+// The dedicated field element against the `bigint` oracle.
+fn fe(v: U256) -> FieldElement {
+    FieldElement::from_u256(v)
+}
+
+proptest! {
+    #[test]
+    fn field_element_round_trips_reduced_values(a in any::<[u8; 32]>()) {
+        let p = p256::field_prime();
+        let a = U256::from_be_bytes(a);
+        prop_assert_eq!(fe(a).to_u256(), a.rem_short(p));
+    }
+
+    #[test]
+    fn field_mul_sq_match_oracle(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+        let p = p256::field_prime();
+        let a = U256::from_be_bytes(a).rem_short(p);
+        let b = U256::from_be_bytes(b).rem_short(p);
+        prop_assert_eq!(fe(a).mul(&fe(b)).to_u256(), a.mul_mod(b, p));
+        prop_assert_eq!(fe(a).sq().to_u256(), a.mul_mod(a, p));
+    }
+
+    #[test]
+    fn field_add_sub_neg_match_oracle(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+        let p = p256::field_prime();
+        let a = U256::from_be_bytes(a).rem_short(p);
+        let b = U256::from_be_bytes(b).rem_short(p);
+        prop_assert_eq!(fe(a).add(&fe(b)).to_u256(), a.add_mod(b, p));
+        prop_assert_eq!(fe(a).double().to_u256(), a.add_mod(a, p));
+        prop_assert_eq!(fe(a).sub(&fe(b)).to_u256(), a.sub_mod(b, p));
+        prop_assert_eq!(fe(a).neg().to_u256(), U256::ZERO.sub_mod(a, p));
+    }
+}
+
+/// Field values at the edges of the representation: 0, 1, p−1, p−2, the
+/// reduced all-ones limbs (`2^256 − 1 − p`), and two operand pairs whose
+/// products drive the Solinas accumulator's first-pass carry to its most
+/// positive (+3) and most negative (−4) values — the extremes over all
+/// products of operands whose 32-bit words are each 0 or 2^32 − 1.
+fn field_edge_values() -> Vec<U256> {
+    let p = p256::field_prime();
+    vec![
+        U256::ZERO,
+        U256::ONE,
+        p.overflowing_sub(U256::ONE).0,
+        p.overflowing_sub(U256::from_u64(2)).0,
+        U256::from_limbs([u64::MAX; 4]).rem_short(p),
+        U256::from_hex("ffffffff00000000000000000000000000000000000000000000000000000000"),
+        U256::from_hex("ffffffff000000000000000000000000000000000000000000000000ffffffff"),
+        U256::from_hex("ffffffffffffffff00000000000000000000000000000000"),
+        U256::from_hex("ffffffff00000000ffffffff0000000000000000000000000000000000000000"),
+    ]
+}
+
+#[test]
+fn field_edge_values_match_oracle() {
+    let p = p256::field_prime();
+    let edges = field_edge_values();
+    assert_eq!(
+        fe(U256::from_limbs([u64::MAX; 4])).to_u256(),
+        edges[4],
+        "all-ones limbs reduce by one subtraction of p"
+    );
+    for &a in &edges {
+        assert_eq!(fe(a).to_u256(), a, "edge values are canonical");
+        assert_eq!(fe(a).sq().to_u256(), a.mul_mod(a, p), "sq {a}");
+        assert_eq!(fe(a).neg().to_u256(), U256::ZERO.sub_mod(a, p), "neg {a}");
+        assert_eq!(
+            fe(a).inv().map(FieldElement::to_u256),
+            a.inv_mod_prime(p),
+            "inv {a}"
+        );
+        for &b in &edges {
+            assert_eq!(fe(a).mul(&fe(b)).to_u256(), a.mul_mod(b, p), "{a} * {b}");
+            assert_eq!(fe(a).add(&fe(b)).to_u256(), a.add_mod(b, p), "{a} + {b}");
+            assert_eq!(fe(a).sub(&fe(b)).to_u256(), a.sub_mod(b, p), "{a} - {b}");
+        }
+    }
+}
+
+/// Public keys and DHKeys for fixed secrets, recorded from the generic
+/// `U256` field implementation this element replaced: the bytes the
+/// simulation fixtures depend on, pinned inside the crypto crate.
+#[test]
+fn p256_golden_vectors() {
+    use p256::{group_order, KeyPair, Scalar};
+    let secrets = [
+        Scalar::from_u64(1),
+        Scalar::from_u64(7),
+        Scalar::from_be_bytes([0x42; 32]),
+        Scalar::from_be_bytes([0x17; 32]),
+        Scalar::from_u256(group_order().overflowing_sub(U256::ONE).0),
+        Scalar::from_u256(U256::from_hex(
+            "c51e4753afdec1e6b6c6a5b992f43f8dd0c7a8933072708b6522468b2ffb06fd",
+        )),
+    ];
+    let publics = [
+        (
+            "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
+            "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5",
+        ),
+        (
+            "8e533b6fa0bf7b4625bb30667c01fb607ef9f8b8a80fef5b300628703187b2a3",
+            "73eb1dbde03318366d069f83a6f5900053c73633cb041b21c55e1a86c1f400b4",
+        ),
+        (
+            "3ad3861a95621392516bb593ef05583ed2e5866f5cb6260a3017237fd89b90af",
+            "d0961c7e37075a6791a39c61f56295b02b6d26567b615e60aa41ee1c8e83388d",
+        ),
+        (
+            "9bece2a08e2cd04cbb9ba5102a51870f54b1e450c2fd417da83efe16707a1906",
+            "cda14b5eeddade58cef7527ff0c9b98e7fe6fddb16496102871cf62cea694ec4",
+        ),
+        (
+            "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296",
+            "b01cbd1c01e58065711814b583f061e9d431cca994cea1313449bf97c840ae0a",
+        ),
+        (
+            "942c9f408ead9d82d34a1b9a6a827ebe3e2ddf782b448d23be1b6143988ccef4",
+            "8c9eaf6c0d14d992fc63bad3e2496be2eee61cb5b97f65f428ca94a5d0ee19a1",
+        ),
+    ];
+    // DHKey of key pair i with the public key of pair (i + 1) mod 6.
+    let dhkeys = [
+        "8e533b6fa0bf7b4625bb30667c01fb607ef9f8b8a80fef5b300628703187b2a3",
+        "66384de786be076032d0dc64da3c004bcb8185584f8345e1d645f6342c5088bd",
+        "901828f1ac762d9e2a2a3d5d4ae00cd51896368b293ab1cbf62e4368f222fdad",
+        "9bece2a08e2cd04cbb9ba5102a51870f54b1e450c2fd417da83efe16707a1906",
+        "942c9f408ead9d82d34a1b9a6a827ebe3e2ddf782b448d23be1b6143988ccef4",
+        "942c9f408ead9d82d34a1b9a6a827ebe3e2ddf782b448d23be1b6143988ccef4",
+    ];
+    let pairs: Vec<KeyPair> = secrets
+        .iter()
+        .map(|s| KeyPair::from_secret(*s).expect("nonzero secret"))
+        .collect();
+    for (i, (kp, (x, y))) in pairs.iter().zip(publics).enumerate() {
+        assert_eq!(kp.public().x(), Some(U256::from_hex(x)), "public x {i}");
+        assert_eq!(kp.public().y(), Some(U256::from_hex(y)), "public y {i}");
+    }
+    for (i, want) in dhkeys.iter().enumerate() {
+        let remote = pairs[(i + 1) % pairs.len()].public();
+        let dhkey = pairs[i].diffie_hellman(&remote).expect("valid public key");
+        assert_eq!(
+            U256::from_be_bytes(dhkey),
+            U256::from_hex(want),
+            "dhkey {i}"
+        );
     }
 }
 

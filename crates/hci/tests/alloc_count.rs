@@ -23,10 +23,17 @@ use blap_types::ConnectionHandle;
 #[global_allocator]
 static GLOBAL: prof::CountingAlloc = prof::CountingAlloc;
 
-/// The exact-count assertions below read process-wide counters, so the
-/// tests in this binary must not allocate concurrently with each other's
-/// measurement windows.
+/// Runs the tests one at a time. The counts are per thread, so this is not
+/// what keeps a window clean; it keeps process-global state (lazily built
+/// tables, the profiler's enable flag) from changing under one. A failed
+/// test poisons it, which must not fail every test after it.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn allocations_during(f: impl FnOnce()) -> usize {
     let (count, _bytes) = prof::allocations_during(f);
@@ -61,7 +68,7 @@ fn sample_packets() -> Vec<HciPacket> {
 
 #[test]
 fn encode_into_warm_buffer_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let packets = sample_packets();
     let mut scratch = Vec::with_capacity(512);
     // Warm the buffer so steady-state capacity is established.
@@ -82,7 +89,7 @@ fn encode_into_warm_buffer_is_allocation_free() {
 
 #[test]
 fn encode_allocates_exactly_once_per_packet() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     // The old Command/Event arms built an intermediate Vec and copied it:
     // two allocations per packet. The fixed wrapper performs only the one
     // for the returned frame.
@@ -101,7 +108,7 @@ fn encode_allocates_exactly_once_per_packet() {
 
 #[test]
 fn encode_into_matches_encode_for_every_shape() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let mut scratch = Vec::new();
     for packet in sample_packets() {
         scratch.clear();
@@ -112,7 +119,7 @@ fn encode_into_matches_encode_for_every_shape() {
 
 #[test]
 fn allocations_attribute_to_open_profiling_scopes() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     prof::reset();
     prof::set_enabled(true);
     {

@@ -624,10 +624,18 @@ impl Report {
 mod alloc_counting {
     use super::LOCAL;
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
     static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        // Const-initialized `Cell`s need no lazy setup and no destructor,
+        // so touching them from inside the allocator never allocates.
+        static THREAD_COUNT: Cell<u64> = const { Cell::new(0) };
+        static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// A pass-through global allocator that counts every allocation and,
     /// when profiling is enabled, attributes it to the innermost open
@@ -644,6 +652,8 @@ mod alloc_counting {
     fn note(bytes: usize) {
         TOTAL_COUNT.fetch_add(1, Ordering::Relaxed);
         TOTAL_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        let _ = THREAD_COUNT.try_with(|c| c.set(c.get() + 1));
+        let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + bytes as u64));
         if !super::enabled() {
             return;
         }
@@ -684,16 +694,23 @@ mod alloc_counting {
         )
     }
 
-    /// Allocations performed by the current thread of execution while `f`
-    /// runs, as a `(count, bytes)` delta of the process totals.
+    /// The calling thread's `(allocation count, bytes)` since it started.
+    fn thread_allocations() -> (u64, u64) {
+        (THREAD_COUNT.with(Cell::get), THREAD_BYTES.with(Cell::get))
+    }
+
+    /// Allocations the calling thread performs while `f` runs, as a
+    /// `(count, bytes)` delta of its own counters.
     ///
     /// Meaningful when [`CountingAlloc`] is installed as the global
-    /// allocator and the surrounding test keeps concurrent allocation
-    /// quiet (the alloc-count regression tests run single-threaded).
+    /// allocator. Other threads — libtest's harness threads, concurrently
+    /// running tests — never leak into the window, but neither does work
+    /// `f` hands to other threads: measure serial code paths (e.g. a
+    /// runner at one worker, which executes inline on the caller).
     pub fn allocations_during(f: impl FnOnce()) -> (u64, u64) {
-        let (count_before, bytes_before) = global_allocations();
+        let (count_before, bytes_before) = thread_allocations();
         f();
-        let (count_after, bytes_after) = global_allocations();
+        let (count_after, bytes_after) = thread_allocations();
         (count_after - count_before, bytes_after - bytes_before)
     }
 }

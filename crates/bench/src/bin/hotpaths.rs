@@ -3,7 +3,9 @@
 //! AES-CCM link cipher (scalar and batched `open_many`), the batched
 //! eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
 //! loop, the P-256 field multiply, key generation and ECDH (the Stage-1
-//! exchange behind every simulated pairing), and the disabled-telemetry
+//! exchange behind every simulated pairing), the trace read path
+//! (`StreamAnalyzer::push_line` per line and `Frame::render_jsonl` per
+//! frame over the Table II trace fixture), and the disabled-telemetry
 //! hook (pinning the zero-cost-when-off
 //! contract of the live telemetry tier) — plus end-to-end wall times for
 //! the table drivers and a
@@ -36,6 +38,7 @@ use blap_crypto::ccm::{OpenBatch, SealedFrame};
 use blap_crypto::p256::{FieldElement, KeyPair};
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
+use blap_obs::{Frame, StreamAnalyzer};
 use blap_sim::{profiles, SniffedFrame, World};
 use blap_types::{BdAddr, ConnectionHandle, Duration, LinkKey, LinkKeyType, ServiceUuid};
 use std::hint::black_box;
@@ -255,6 +258,35 @@ fn main() {
         );
     });
 
+    // The trace read path `blap-trace check` runs on: a fresh analyzer
+    // over the committed Table II trace, per line; and the same lines as
+    // BLAPTRC1 frames rendered back to JSONL, per frame.
+    let trace = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/table2_trace.jsonl"
+    ))
+    .expect("Table II trace fixture");
+    let trace_lines: Vec<&str> = trace.lines().collect();
+    let trace_push_line = ns_per_op(20, || {
+        let mut analyzer = StreamAnalyzer::new();
+        for line in &trace_lines {
+            analyzer.push_line(black_box(line)).expect("fixture line");
+        }
+        black_box(analyzer.finish());
+    }) / trace_lines.len() as f64;
+    let frames: Vec<Frame> = trace_lines
+        .iter()
+        .map(|line| Frame::from_jsonl(line).expect("canonical fixture line"))
+        .collect();
+    let mut rendered = String::with_capacity(256);
+    let frame_render_jsonl = ns_per_op(50, || {
+        for frame in &frames {
+            rendered.clear();
+            black_box(frame).render_jsonl(&mut rendered);
+            black_box(&rendered);
+        }
+    }) / frames.len() as f64;
+
     // Per-candidate pincrack cost: a full 4-digit-space scan for a PIN
     // near the end of the space, divided by the attempts it reports.
     let capture = LegacyPairingCapture::synthesize(
@@ -353,6 +385,11 @@ fn main() {
     println!("    \"p256_fe_mul\": {},", json_number(p256_fe_mul));
     println!("    \"p256_keygen\": {},", json_number(p256_keygen));
     println!("    \"p256_ecdh\": {},", json_number(p256_ecdh));
+    println!("    \"trace_push_line\": {},", json_number(trace_push_line));
+    println!(
+        "    \"frame_render_jsonl\": {},",
+        json_number(frame_render_jsonl)
+    );
     println!(
         "    \"telemetry_disabled\": {}",
         json_number(telemetry_disabled)

@@ -1,4 +1,5 @@
-//! Allocation accounting for the PIN-crack and eavesdrop inner loops.
+//! Allocation accounting for the PIN-crack and eavesdrop inner loops,
+//! and for the trace read path.
 //!
 //! The batched sweeps hold per-candidate state on the stack or in
 //! per-worker scratch reused across chunks: the odometer buffer, the E22
@@ -8,12 +9,19 @@
 //! `prof-alloc`): a full sweep must cost a number of heap allocations
 //! proportional to its *outputs* plus a small constant — never one per
 //! candidate, per batch, or per frame × handle attempt.
+//!
+//! The trace read path holds the same line: `StreamAnalyzer::push_line`
+//! scans a line in place and allocates only the strings a trial segment
+//! keeps, and `FrameReader::next_frame` reuses one payload buffer, so a
+//! frame costs only its own strings.
 
 use blap::eavesdrop::{decrypt_capture_batched, KeyConfirm};
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
 use blap::{addrs, extract};
+use blap_obs::json::{self, Value};
 use blap_obs::prof;
+use blap_obs::{Frame, FrameReader, FrameWriter, StreamAnalyzer};
 use blap_sim::{profiles, SniffedFrame, World};
 use blap_types::{BdAddr, Duration, LinkKey, ServiceUuid};
 
@@ -162,4 +170,118 @@ fn hit_sweep_allocates_scratch_and_result_only() {
         "a hit sweep must only allocate scratch plus the returned result, \
          got {count} allocations"
     );
+}
+
+/// The committed Table II trace: 3094 lines over 14 units.
+fn table2_trace() -> String {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/table2_trace.jsonl"
+    );
+    std::fs::read_to_string(path).expect("Table II trace fixture")
+}
+
+/// Whether a trace line's event is one `push_line` reads only for its
+/// timestamp: nothing of it is kept.
+fn is_unkept_event(line: &str) -> bool {
+    ["hci", "dispatch", "attack_phase", "page_start"]
+        .iter()
+        .any(|ev| line.contains(&format!("\"ev\":\"{ev}\"")))
+}
+
+#[test]
+fn push_line_allocates_nothing_on_lines_it_does_not_keep() {
+    let _serial = serial();
+    let trace = table2_trace();
+    let mut analyzer = StreamAnalyzer::new();
+    // Warm-up: one pass leaves the segment ledgers at working size.
+    for line in trace.lines() {
+        analyzer.push_line(line).expect("fixture line");
+    }
+    let mut checked = 0;
+    for line in trace.lines().filter(|line| is_unkept_event(line)) {
+        let count = allocations_during(|| analyzer.push_line(line).expect("fixture line"));
+        assert_eq!(count, 0, "push_line allocated {count} time(s) on {line}");
+        checked += 1;
+    }
+    assert_eq!(
+        checked,
+        952 + 504 + 70 + 28,
+        "hci, dispatch, attack_phase, page_start"
+    );
+}
+
+#[test]
+fn push_line_allocates_only_the_strings_a_segment_keeps() {
+    let _serial = serial();
+    let trace = table2_trace();
+    // The strings the analyzer keeps per line: span names, details and
+    // statuses, LMP PDU names (`LMP_detach` is exempt from matching and
+    // not kept), keystore actions.
+    let kept: usize = trace
+        .lines()
+        .map(|line| {
+            let value = json::parse(line).expect("fixture line");
+            let field = |key: &str| value.get(key).and_then(Value::as_str);
+            match field("ev").expect("every line has an ev") {
+                "span_open" => 1 + usize::from(field("detail").is_some()),
+                "span_close" | "keystore" => 1,
+                "lmp_send" | "lmp_recv" => usize::from(field("pdu") != Some("LMP_detach")),
+                _ => 0,
+            }
+        })
+        .sum();
+    assert_eq!(kept, 2 * 378 + 378 + 2 * 336 + 56);
+    let mut analyzer = StreamAnalyzer::new();
+    let count = allocations_during(|| {
+        for line in trace.lines() {
+            analyzer.push_line(line).expect("fixture line");
+        }
+    });
+    let analysis = analyzer.finish();
+    assert!(analysis.ok(), "{}", analysis.report());
+    // Beyond the kept strings: the span table's B-tree nodes, a few per
+    // trial segment, and the ledgers growing to size over the first one.
+    // A per-line tree, key or scratch string would add thousands.
+    let budget = kept + 6 * analysis.segment_count + 16;
+    assert!(
+        count <= budget,
+        "{} lines cost {count} allocations, budget {budget} ({kept} kept strings, {} segments)",
+        analysis.line_count,
+        analysis.segment_count
+    );
+}
+
+#[test]
+fn next_frame_allocates_only_the_frames_own_strings() {
+    let _serial = serial();
+    let trace = table2_trace();
+    let mut writer = FrameWriter::new(Vec::new()).expect("in-memory writer");
+    // The stream twice over: the first copy warms the reader's payload
+    // buffer to its working size, the second is measured.
+    for _ in 0..2 {
+        for line in trace.lines() {
+            let frame = Frame::from_jsonl(line).expect("canonical fixture line");
+            writer.write_frame(&frame).expect("in-memory write");
+        }
+    }
+    let bytes = writer.finish().expect("in-memory flush");
+    let mut reader = FrameReader::new(&bytes[..]).expect("magic");
+    let lines = trace.lines().count();
+    for _ in 0..lines {
+        reader.next_frame().expect("well-formed").expect("a frame");
+    }
+    for _ in 0..lines {
+        let mut frame = None;
+        let count = allocations_during(|| {
+            frame = reader.next_frame().expect("well-formed");
+        });
+        let frame = frame.expect("a frame");
+        // Cloning a frame allocates exactly its own strings.
+        let own = allocations_during(|| {
+            std::hint::black_box(frame.clone());
+        });
+        assert_eq!(count, own, "next_frame allocated beyond {frame:?}");
+    }
+    assert!(reader.next_frame().expect("clean end").is_none());
 }

@@ -1,6 +1,6 @@
-//! Trace analysis: parse JSONL artifacts back into typed lines, rebuild
-//! per-trial timelines, profile where virtual time went, and check the
-//! causal invariants the BLAP attack arguments rest on.
+//! Trace analysis: rebuild per-trial timelines from JSONL artifacts,
+//! profile where virtual time went, and check the causal invariants the
+//! BLAP attack arguments rest on.
 //!
 //! The analyzer consumes exactly what [`crate::trace`] produces. A trace
 //! is split into **segments** — one per trial — at `unit_start`
@@ -9,12 +9,13 @@
 //! is the authoritative boundary). All checks are then per segment, since
 //! timestamps are only comparable within one world.
 //!
-//! Since the streaming rework, this module is a thin batch facade over
-//! [`crate::stream::StreamAnalyzer`], which holds state for one in-flight
-//! trial at a time and retires each segment as its boundary arrives. The
-//! wrapper exists for callers that already hold the whole artifact (tests,
-//! small fixtures); anything campaign-scale should push lines or typed
-//! events at the streaming core directly.
+//! This module is a thin batch facade over
+//! [`crate::stream::StreamAnalyzer`], which scans each line in place
+//! (no per-line tree), holds state for one in-flight trial at a time and
+//! retires each segment as its boundary arrives. The wrapper exists for
+//! callers that already hold the whole artifact (tests, small fixtures);
+//! anything campaign-scale should push lines or typed events at the
+//! streaming core directly.
 //!
 //! ## Invariant catalog
 //!
@@ -48,26 +49,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::json::{self, Value};
 use crate::metrics::Histogram;
 
 /// The model's fixed LMP/ACL delivery latency in virtual microseconds.
 pub const LMP_LATENCY_US: u64 = 1250;
-
-/// One parsed trace line.
-#[derive(Clone, Debug)]
-pub struct TraceLine {
-    /// 1-based line number in the artifact.
-    pub line_no: usize,
-    /// Virtual timestamp (µs).
-    pub t: u64,
-    /// Emitting device index, when the line was device-scoped.
-    pub dev: Option<u32>,
-    /// Event name (`"lmp_send"`, `"span_open"`, ...).
-    pub ev: String,
-    /// The full parsed object, for event-specific fields.
-    pub value: Value,
-}
 
 /// A failure to parse a trace artifact.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,62 +212,12 @@ impl TraceAnalysis {
     }
 }
 
-/// Parses one non-blank trace line into its typed form.
-pub(crate) fn parse_line(line_no: usize, raw: &str) -> Result<TraceLine, AnalyzeError> {
-    let value = json::parse(raw).map_err(|e| AnalyzeError {
-        line: line_no,
-        message: e.to_string(),
-    })?;
-    let t = value.get("t").and_then(Value::as_u64).ok_or(AnalyzeError {
-        line: line_no,
-        message: "missing integer \"t\" field".to_owned(),
-    })?;
-    let ev = value
-        .get("ev")
-        .and_then(Value::as_str)
-        .ok_or(AnalyzeError {
-            line: line_no,
-            message: "missing string \"ev\" field".to_owned(),
-        })?
-        .to_owned();
-    // Device ids are u32 everywhere else in the pipeline; a larger
-    // value is a corrupt or forged line, and truncating it would
-    // silently attribute the event to an unrelated device.
-    let dev = match value.get("dev").and_then(Value::as_u64) {
-        Some(d) => Some(u32::try_from(d).map_err(|_| AnalyzeError {
-            line: line_no,
-            message: format!("\"dev\" value {d} exceeds the u32 device-id range"),
-        })?),
-        None => None,
-    };
-    Ok(TraceLine {
-        line_no,
-        t,
-        dev,
-        ev,
-        value,
-    })
-}
-
-/// Parses a trace JSONL artifact into typed lines (blank lines skipped).
-pub fn parse_trace(text: &str) -> Result<Vec<TraceLine>, AnalyzeError> {
-    let mut lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        lines.push(parse_line(idx + 1, raw)?);
-    }
-    Ok(lines)
-}
-
-/// Parses and fully analyzes a trace artifact: segmentation, phase
-/// profile, and the invariant catalog.
+/// Fully analyzes a trace artifact: segmentation, phase profile, and the
+/// invariant catalog.
 ///
 /// Batch facade over [`crate::stream::StreamAnalyzer`]: every line is
 /// pushed through the streaming core, so the two tiers cannot drift. The
-/// first malformed line aborts the analysis with its parse error, exactly
-/// as the historical whole-artifact parser did.
+/// first malformed line aborts the analysis with its parse error.
 pub fn analyze_trace(text: &str) -> Result<TraceAnalysis, AnalyzeError> {
     let mut analyzer = crate::stream::StreamAnalyzer::new();
     for raw in text.lines() {
@@ -312,15 +247,25 @@ mod tests {
         // 2^32 truncates to dev 0 under an `as u32` cast — the line would
         // silently attribute its span to the victim device. It must be a
         // parse error instead.
-        let trace = "{\"t\":1,\"dev\":4294967296,\"ev\":\"lmp_send\"}\n";
-        let err = parse_trace(trace).expect_err("oversized dev must not parse");
+        let mut analyzer = crate::stream::StreamAnalyzer::new();
+        let err = analyzer
+            .push_line("{\"t\":1,\"dev\":4294967296,\"ev\":\"lmp_send\"}")
+            .expect_err("oversized dev must not parse");
         assert_eq!(err.line, 1);
         assert!(err.message.contains("4294967296"), "{}", err.message);
         assert!(err.message.contains("u32"), "{}", err.message);
-        // u32::MAX itself is still a valid id.
-        let ok = parse_trace("{\"t\":1,\"dev\":4294967295,\"ev\":\"lmp_send\"}\n")
-            .expect("u32::MAX device id parses");
-        assert_eq!(ok[0].dev, Some(u32::MAX));
+        // u32::MAX itself is still a valid id, and it is the id the
+        // analysis attributes the line's span to.
+        let trace = "\
+{\"t\":0,\"dev\":4294967295,\"ev\":\"span_open\",\"span\":1,\"name\":\"ploc\"}\n\
+{\"t\":100,\"dev\":4294967295,\"ev\":\"span_open\",\"span\":2,\"name\":\"host_pairing\"}\n";
+        let a = analyze(trace);
+        assert_eq!(a.violations.len(), 1, "{}", a.report());
+        assert!(
+            a.violations[0].message.contains("Some(4294967295)"),
+            "{}",
+            a.report()
+        );
     }
 
     #[test]

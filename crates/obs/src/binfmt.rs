@@ -38,8 +38,8 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{escape_into, Value};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::json::{self, Fields, Scalar};
+use crate::trace::{LineWriter, TraceEvent, TraceSink};
 
 /// File magic: identifies a binary trace stream, version 1.
 pub const MAGIC: [u8; 8] = *b"BLAPTRC1";
@@ -49,6 +49,35 @@ pub const MAGIC: [u8; 8] = *b"BLAPTRC1";
 /// pathological messages are kilobytes). Prevents a corrupt length
 /// prefix from asking the reader to allocate gigabytes.
 const MAX_PAYLOAD: u64 = 1 << 20;
+
+/// Every member [`Frame::from_jsonl`] reads, over all event kinds.
+const FRAME_KEYS: [&str; 25] = [
+    "t",
+    "dev",
+    "ev",
+    "seq",
+    "kind",
+    "target",
+    "responder",
+    "latency_us",
+    "raced",
+    "attacker_won",
+    "page_scan",
+    "inquiry_scan",
+    "peer",
+    "pdu",
+    "dir",
+    "name",
+    "reason",
+    "action",
+    "label",
+    "message",
+    "unit",
+    "span",
+    "parent",
+    "detail",
+    "status",
+];
 
 const FLAG_DEV: u8 = 1 << 0;
 const FLAG_PARENT: u8 = 1 << 1;
@@ -279,123 +308,78 @@ impl Frame {
     /// byte-identical to what [`TraceEvent::render_jsonl`] would have
     /// produced for the originating event.
     pub fn render_jsonl(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"t\":{}", self.t);
-        if let Some(dev) = self.dev {
-            let _ = write!(out, ",\"dev\":{dev}");
-        }
-        let str_key = |out: &mut String, key: &str, value: &str| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":\"");
-            escape_into(value, out);
-            out.push('"');
-        };
+        let line = LineWriter::open(out, self.t, self.dev);
         match &self.kind {
             FrameKind::Dispatch { seq, kind } => {
-                let _ = write!(out, ",\"ev\":\"dispatch\",\"seq\":{seq}");
-                str_key(out, "kind", kind);
+                line.ev("dispatch").uint("seq", *seq).string("kind", kind)
             }
-            FrameKind::PageStart { target } => {
-                out.push_str(",\"ev\":\"page_start\"");
-                str_key(out, "target", target);
-            }
+            FrameKind::PageStart { target } => line.ev("page_start").string("target", target),
             FrameKind::PageConnect {
                 target,
                 responder,
                 latency_us,
                 raced,
-            } => {
-                out.push_str(",\"ev\":\"page_connect\"");
-                str_key(out, "target", target);
-                let _ = write!(
-                    out,
-                    ",\"responder\":{responder},\"latency_us\":{latency_us},\"raced\":{raced}"
-                );
-            }
-            FrameKind::PageTimeout { target } => {
-                out.push_str(",\"ev\":\"page_timeout\"");
-                str_key(out, "target", target);
-            }
+            } => line
+                .ev("page_connect")
+                .string("target", target)
+                .uint("responder", *responder)
+                .uint("latency_us", *latency_us)
+                .boolean("raced", *raced),
+            FrameKind::PageTimeout { target } => line.ev("page_timeout").string("target", target),
             FrameKind::Race {
                 target,
                 attacker_won,
-            } => {
-                out.push_str(",\"ev\":\"race\"");
-                str_key(out, "target", target);
-                let _ = write!(out, ",\"attacker_won\":{attacker_won}");
-            }
+            } => line
+                .ev("race")
+                .string("target", target)
+                .boolean("attacker_won", *attacker_won),
             FrameKind::Scan {
                 page_scan,
                 inquiry_scan,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"scan\",\"page_scan\":{page_scan},\"inquiry_scan\":{inquiry_scan}"
-                );
-            }
+            } => line
+                .ev("scan")
+                .boolean("page_scan", *page_scan)
+                .boolean("inquiry_scan", *inquiry_scan),
             FrameKind::LmpSend { peer, pdu } => {
-                out.push_str(",\"ev\":\"lmp_send\"");
-                str_key(out, "peer", peer);
-                str_key(out, "pdu", pdu);
+                line.ev("lmp_send").string("peer", peer).string("pdu", pdu)
             }
             FrameKind::LmpRecv { peer, pdu } => {
-                out.push_str(",\"ev\":\"lmp_recv\"");
-                str_key(out, "peer", peer);
-                str_key(out, "pdu", pdu);
+                line.ev("lmp_recv").string("peer", peer).string("pdu", pdu)
             }
-            FrameKind::LmpTimeout { peer } => {
-                out.push_str(",\"ev\":\"lmp_timeout\"");
-                str_key(out, "peer", peer);
-            }
-            FrameKind::Hci { dir, kind, name } => {
-                out.push_str(",\"ev\":\"hci\"");
-                str_key(out, "dir", dir);
-                str_key(out, "kind", kind);
-                str_key(out, "name", name);
-            }
-            FrameKind::LinkDrop { reason } => {
-                out.push_str(",\"ev\":\"link_drop\"");
-                str_key(out, "reason", reason);
-            }
-            FrameKind::Keystore { peer, action } => {
-                out.push_str(",\"ev\":\"keystore\"");
-                str_key(out, "peer", peer);
-                str_key(out, "action", action);
-            }
-            FrameKind::AttackPhase { label } => {
-                out.push_str(",\"ev\":\"attack_phase\"");
-                str_key(out, "label", label);
-            }
-            FrameKind::Warning { message } => {
-                out.push_str(",\"ev\":\"warning\"");
-                str_key(out, "message", message);
-            }
-            FrameKind::UnitStart { unit, label } => {
-                let _ = write!(out, ",\"ev\":\"unit_start\",\"unit\":{unit}");
-                str_key(out, "label", label);
-            }
+            FrameKind::LmpTimeout { peer } => line.ev("lmp_timeout").string("peer", peer),
+            FrameKind::Hci { dir, kind, name } => line
+                .ev("hci")
+                .string("dir", dir)
+                .string("kind", kind)
+                .string("name", name),
+            FrameKind::LinkDrop { reason } => line.ev("link_drop").string("reason", reason),
+            FrameKind::Keystore { peer, action } => line
+                .ev("keystore")
+                .string("peer", peer)
+                .string("action", action),
+            FrameKind::AttackPhase { label } => line.ev("attack_phase").string("label", label),
+            FrameKind::Warning { message } => line.ev("warning").string("message", message),
+            FrameKind::UnitStart { unit, label } => line
+                .ev("unit_start")
+                .uint("unit", *unit)
+                .string("label", label),
             FrameKind::SpanOpen {
                 span,
                 parent,
                 name,
                 detail,
-            } => {
-                let _ = write!(out, ",\"ev\":\"span_open\",\"span\":{span}");
-                if let Some(parent) = parent {
-                    let _ = write!(out, ",\"parent\":{parent}");
-                }
-                str_key(out, "name", name);
-                if let Some(detail) = detail {
-                    str_key(out, "detail", detail);
-                }
-            }
-            FrameKind::SpanClose { span, status } => {
-                let _ = write!(out, ",\"ev\":\"span_close\",\"span\":{span}");
-                str_key(out, "status", status);
-            }
+            } => line
+                .ev("span_open")
+                .uint("span", *span)
+                .opt_uint("parent", *parent)
+                .string("name", name)
+                .opt_string("detail", detail.as_deref()),
+            FrameKind::SpanClose { span, status } => line
+                .ev("span_close")
+                .uint("span", *span)
+                .string("status", status),
         }
-        out.push('}');
+        .close();
     }
 
     /// Parses one canonical JSONL trace line back into a frame.
@@ -403,11 +387,11 @@ impl Frame {
     /// Canonicality is *verified*, not assumed: the parsed frame is
     /// re-rendered and must reproduce `line` byte for byte. A line with
     /// reordered keys, extra fields, or a non-canonical number spelling
-    /// (`007`, `1e3`) is rejected — silently normalizing it would make
+    /// (`1e3`, `7.0`) is rejected — silently normalizing it would make
     /// `convert` round trips lossy.
     pub fn from_jsonl(line: &str) -> Result<Frame, String> {
-        let value = crate::json::parse(line).map_err(|e| e.to_string())?;
-        let frame = Frame::from_value(&value)?;
+        let fields = json::scan_fields(line, &FRAME_KEYS).map_err(|e| e.to_string())?;
+        let frame = Frame::from_fields(&fields)?;
         let mut rendered = String::with_capacity(line.len());
         frame.render_jsonl(&mut rendered);
         if rendered != line {
@@ -418,37 +402,37 @@ impl Frame {
         Ok(frame)
     }
 
-    fn from_value(value: &Value) -> Result<Frame, String> {
+    fn from_fields(fields: &Fields<'_, { FRAME_KEYS.len() }>) -> Result<Frame, String> {
         let str_field = |key: &str| {
-            value
+            fields
                 .get(key)
-                .and_then(Value::as_str)
+                .and_then(Scalar::as_str)
                 .map(str::to_owned)
                 .ok_or_else(|| format!("missing string {key:?} field"))
         };
         let u64_field = |key: &str| {
-            value
+            fields
                 .get(key)
-                .and_then(Value::as_u64)
+                .and_then(Scalar::as_u64)
                 .ok_or_else(|| format!("missing integer {key:?} field"))
         };
         let bool_field = |key: &str| {
-            value
+            fields
                 .get(key)
-                .and_then(Value::as_bool)
+                .and_then(Scalar::as_bool)
                 .ok_or_else(|| format!("missing boolean {key:?} field"))
         };
         let t = u64_field("t")?;
-        let dev = match value.get("dev").and_then(Value::as_u64) {
+        let dev = match fields.get("dev").and_then(Scalar::as_u64) {
             Some(d) => Some(
                 u32::try_from(d)
                     .map_err(|_| format!("\"dev\" value {d} exceeds the u32 device-id range"))?,
             ),
             None => None,
         };
-        let ev = value
+        let ev = fields
             .get("ev")
-            .and_then(Value::as_str)
+            .and_then(Scalar::as_str)
             .ok_or_else(|| "missing string \"ev\" field".to_owned())?;
         let kind = match ev {
             "dispatch" => FrameKind::Dispatch {
@@ -510,11 +494,11 @@ impl Frame {
             },
             "span_open" => FrameKind::SpanOpen {
                 span: u64_field("span")?,
-                parent: value.get("parent").and_then(Value::as_u64),
+                parent: fields.get("parent").and_then(Scalar::as_u64),
                 name: str_field("name")?,
-                detail: value
+                detail: fields
                     .get("detail")
-                    .and_then(Value::as_str)
+                    .and_then(Scalar::as_str)
                     .map(str::to_owned),
             },
             "span_close" => FrameKind::SpanClose {
@@ -873,6 +857,9 @@ pub struct FrameReader<R: Read> {
     inner: R,
     /// 0-based index of the next frame to read (error attribution).
     frame_no: usize,
+    /// The payload buffer every frame is read into, grown to the largest
+    /// payload seen (at most [`MAX_PAYLOAD`] bytes) and then reused.
+    payload: Vec<u8>,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -894,7 +881,11 @@ impl<R: Read> FrameReader<R> {
                 truncated: false,
             });
         }
-        Ok(FrameReader { inner, frame_no: 0 })
+        Ok(FrameReader {
+            inner,
+            frame_no: 0,
+            payload: Vec::new(),
+        })
     }
 
     /// Reads the next frame; `Ok(None)` on a clean end of stream.
@@ -941,15 +932,17 @@ impl<R: Read> FrameReader<R> {
                 "frame payload length {len} exceeds the {MAX_PAYLOAD}-byte limit"
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        read_full(&mut self.inner, &mut payload).map_err(|partial| match partial {
+        // Shrinking leaves the bytes alone and growing zero-fills only the
+        // new tail; `read_full` overwrites all `len` bytes either way.
+        self.payload.resize(len as usize, 0);
+        read_full(&mut self.inner, &mut self.payload).map_err(|partial| match partial {
             Some(n) => torn(format!(
                 "stream ends {} byte(s) into a {len}-byte frame payload (torn frame)",
                 n
             )),
             None => err("read error inside a frame payload".to_owned()),
         })?;
-        let frame = Frame::decode_payload(&payload).map_err(err)?;
+        let frame = Frame::decode_payload(&self.payload).map_err(err)?;
         self.frame_no += 1;
         Ok(Some(frame))
     }
@@ -1107,6 +1100,38 @@ mod tests {
         assert!(Frame::from_jsonl("{\"t\":7,\"ev\":\"nonsense\"}").is_err());
         // The canonical spelling passes.
         assert!(Frame::from_jsonl("{\"t\":7,\"ev\":\"attack_phase\",\"label\":\"x\"}").is_ok());
+    }
+
+    #[test]
+    fn from_jsonl_rejects_deep_nesting_and_non_rfc_input() {
+        let flood = format!("{{\"t\":1,\"ev\":\"x\",\"a\":{}", "[".repeat(1 << 20));
+        let err = Frame::from_jsonl(&flood).expect_err("too deep");
+        assert!(err.contains("64 levels"), "{err}");
+        for bad in [
+            "{\"t\":7,\"ev\":\"attack_phase\",\"label\":\"\\u+041\"}",
+            "{\"t\":-,\"ev\":\"attack_phase\",\"label\":\"x\"}",
+        ] {
+            assert!(Frame::from_jsonl(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reader_reuses_its_payload_buffer() {
+        let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
+        for frame in sample_frames() {
+            writer.write_frame(&frame).expect("vec write");
+        }
+        let bytes = writer.finish().expect("vec flush");
+        let mut reader = FrameReader::new(&bytes[..]).expect("magic");
+        let mut largest = 0;
+        while reader.next_frame().expect("well-formed").is_some() {
+            largest = largest.max(reader.payload.len());
+        }
+        assert!(reader.payload.capacity() >= largest);
+        assert!(
+            reader.payload.capacity() < 4 * largest,
+            "one buffer, not one per frame"
+        );
     }
 
     #[test]

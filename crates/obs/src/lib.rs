@@ -31,13 +31,14 @@
 //! * [`span`] — causal spans (trial → page / LMP auth / host pairing /
 //!   PLOC / HCI exchange) with parent links, allocated deterministically
 //!   per tracer and rendered as `span_open` / `span_close` trace lines.
-//! * [`analyze`] — parses trace JSONL back into typed lines, reconstructs
-//!   per-trial segments, computes a virtual-time phase-latency profile,
-//!   and runs the declarative invariant checker the attack arguments rest
-//!   on (every LMP send matched, PLOC links never pairing, keystore writes
-//!   only after auth, page blocking implying a stolen pairing).
+//! * [`analyze`] — reconstructs per-trial segments from trace JSONL,
+//!   computes a virtual-time phase-latency profile, and runs the
+//!   declarative invariant checker the attack arguments rest on (every
+//!   LMP send matched, PLOC links never pairing, keystore writes only
+//!   after auth, page blocking implying a stolen pairing).
 //! * [`stream`] — the single-pass streaming core under [`analyze`]:
-//!   [`stream::StreamAnalyzer`] holds constant memory per in-flight trial,
+//!   [`stream::StreamAnalyzer`] scans each line in place without building
+//!   a JSON tree, holds constant memory per in-flight trial,
 //!   retires segments as their boundaries arrive, and (via
 //!   [`stream::StreamSink`] + [`stream::ViolationSummary`]) lets the
 //!   campaign engine check invariants live while trials execute.
@@ -46,8 +47,10 @@
 //!   against JSONL byte-deterministically.
 //! * [`diff`] — structural comparison of two trace/metrics artifacts, the
 //!   CI gate that replaced ad-hoc byte diffs.
-//! * [`json`] — the shared escaper both renderers use, plus the
-//!   dependency-free parser the analysis tier reads artifacts back with.
+//! * [`json`] — the shared escaper and integer writer every renderer
+//!   uses, plus the one dependency-free grammar artifacts are read back
+//!   with: a tree parser for whole documents and an in-place field scanner
+//!   for trace lines, nesting capped at [`json::MAX_DEPTH`].
 //!
 //! Beside the deterministic tier — never inside it — sits [`prof`], the
 //! wall-clock profiling subsystem (`blap-prof`): RAII scope guards keyed

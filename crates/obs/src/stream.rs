@@ -7,26 +7,26 @@
 //! keystore mutations. The moment a segment boundary arrives — a
 //! `unit_start` marker, or a root `trial` span opening while a trial is
 //! already open — the finished segment is *retired*: its invariant checks
-//! run, its spans fold into the phase profile, and every byte of its
-//! buffered state is dropped. Memory is therefore bounded by the largest
-//! single trial, never by the artifact length, which is what lets
-//! `blap-trace check` walk a campaign-scale trace and lets invariant
-//! checking run *inside* `blap::campaign` while trials execute.
+//! run, its spans fold into the phase profile, and its buffered state is
+//! cleared (the ledgers keep their capacity for the next trial). Memory
+//! is therefore bounded by the largest single trial, never by the
+//! artifact length, which is what lets `blap-trace check` walk a
+//! campaign-scale trace and lets invariant checking run *inside*
+//! `blap::campaign` while trials execute.
 //!
 //! The analysis is deliberately deferred to retirement rather than run
 //! eagerly per line: the batch analyzer's checks are whole-segment
 //! (an `lmp_recv` may match a send that appears later in line order, and
 //! `keystore-after-auth` consults the segment's full span table), so
 //! retiring a segment and then checking it reproduces the batch reports
-//! byte for byte. One intentional divergence from the historical batch
-//! code: unmatched `lmp_send` violations are emitted in artifact line
-//! order (the old code iterated a `HashMap`, so their relative order was
-//! nondeterministic across runs).
+//! byte for byte. Unmatched `lmp_send` violations are emitted in artifact
+//! line order.
 //!
 //! Two ingestion paths feed the same state machine and are pinned
 //! equivalent in tests:
 //!
-//! * [`StreamAnalyzer::push_line`] — parses one JSONL artifact line.
+//! * [`StreamAnalyzer::push_line`] — scans one JSONL artifact line in
+//!   place (no per-line tree; see [`crate::json`]).
 //! * [`StreamAnalyzer::push_event`] — consumes a typed [`TraceEvent`]
 //!   directly (no render/parse round trip), the campaign hot path. The
 //!   [`StreamSink`] adapter attaches it to a [`crate::trace::Tracer`].
@@ -35,14 +35,12 @@
 //! engine merges in shard order: per-invariant counts plus a capped list
 //! of example violations, with a deterministic JSON form for checkpoints.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::analyze::{
-    AnalyzeError, PhaseProfile, TraceAnalysis, TraceLine, Violation, LMP_LATENCY_US,
-};
-use crate::json::{escape, Value};
+use crate::analyze::{AnalyzeError, PhaseProfile, TraceAnalysis, Violation, LMP_LATENCY_US};
+use crate::json::{self, escape, Scalar, Value};
 use crate::trace::{TraceEvent, TraceSink};
 
 /// A reconstructed span within the in-flight segment.
@@ -56,6 +54,16 @@ struct SpanRec {
     detail: Option<String>,
     close: Option<(u64, String)>,
     close_line: Option<usize>,
+}
+
+/// One `lmp_send`, condensed to what the matching consumes.
+#[derive(Clone, Debug)]
+struct SendRec {
+    pdu: String,
+    t: u64,
+    line_no: usize,
+    /// Whether a matching `lmp_recv` consumed it (set at retirement).
+    received: bool,
 }
 
 /// One keystore mutation, condensed to what the checks consume.
@@ -75,8 +83,8 @@ struct SegState {
     /// Whether any line landed in this segment yet.
     non_empty: bool,
     spans: BTreeMap<u64, SpanRec>,
-    /// Pending `lmp_send` multiset: `(pdu, t)` → artifact lines.
-    sends: HashMap<(String, u64), Vec<usize>>,
+    /// `lmp_send` ledger in artifact order.
+    sends: Vec<SendRec>,
     /// `lmp_recv` ledger in artifact order: `(pdu, t, line_no)`.
     recvs: Vec<(String, u64, usize)>,
     /// `link_drop` timestamps.
@@ -97,8 +105,53 @@ struct SegState {
     last_t: u64,
 }
 
+impl SegState {
+    /// Empties the segment for the next one. The ledgers keep their
+    /// capacity: trials in one trace are alike, so after the first they
+    /// rarely need to grow.
+    fn clear(&mut self) {
+        let SegState {
+            non_empty,
+            spans,
+            sends,
+            recvs,
+            drops,
+            race_won,
+            page_connects,
+            keystores,
+            last_t,
+        } = self;
+        *non_empty = false;
+        spans.clear();
+        sends.clear();
+        recvs.clear();
+        drops.clear();
+        *race_won = false;
+        page_connects.clear();
+        keystores.clear();
+        *last_t = 0;
+    }
+}
+
+/// Every member [`StreamAnalyzer::push_line`] reads.
+const LINE_KEYS: [&str; 13] = [
+    "t",
+    "dev",
+    "ev",
+    "span",
+    "parent",
+    "name",
+    "detail",
+    "status",
+    "pdu",
+    "attacker_won",
+    "responder",
+    "latency_us",
+    "action",
+];
+
 /// The per-line fields the state machine consumes, extracted once from
-/// either a parsed JSONL line or a typed event.
+/// either a scanned JSONL line or a typed event.
 struct LineView<'a> {
     line_no: usize,
     t: u64,
@@ -187,17 +240,78 @@ impl StreamAnalyzer {
     }
 
     /// Consumes one raw artifact line (blank lines are counted and
-    /// skipped, exactly like the batch parser). Returns the parse error
-    /// for a malformed line; analyzer state is unchanged by a failed push
-    /// except for the line counter, so a caller may report and stop.
+    /// skipped). Returns the parse error for a malformed line; analyzer
+    /// state is unchanged by a failed push except for the line counter,
+    /// so a caller may report and stop.
+    ///
+    /// The line is scanned in place, never built into a [`Value`] tree:
+    /// only the members the state machine reads are kept, borrowed from
+    /// `raw`, and the first member of each name wins, as with
+    /// [`Value::get`]. A line costs no allocation unless the segment keeps
+    /// one of its strings (a span name, PDU, status or keystore action) or
+    /// the line has a string escape.
     pub fn push_line(&mut self, raw: &str) -> Result<(), AnalyzeError> {
         self.next_line_no += 1;
         if raw.trim().is_empty() {
             return Ok(());
         }
-        let line = crate::analyze::parse_line(self.next_line_no, raw)?;
+        let line_no = self.next_line_no;
+        let fail = |message: String| AnalyzeError {
+            line: line_no,
+            message,
+        };
+        let fields = json::scan_fields(raw, &LINE_KEYS).map_err(|e| fail(e.to_string()))?;
+        let str_field = |key: &str| fields.get(key).and_then(Scalar::as_str);
+        let u64_field = |key: &str| fields.get(key).and_then(Scalar::as_u64);
+        let t = u64_field("t").ok_or_else(|| fail("missing integer \"t\" field".to_owned()))?;
+        let ev = str_field("ev").ok_or_else(|| fail("missing string \"ev\" field".to_owned()))?;
+        // Device ids are u32 everywhere else in the pipeline; a larger
+        // value is a corrupt or forged line, and truncating it would
+        // silently attribute the event to an unrelated device.
+        let dev = u64_field("dev")
+            .map(|d| {
+                u32::try_from(d)
+                    .map_err(|_| fail(format!("\"dev\" value {d} exceeds the u32 device-id range")))
+            })
+            .transpose()?;
+        let kind = match ev {
+            "unit_start" => LineKind::UnitStart,
+            "span_open" => LineKind::SpanOpen {
+                id: u64_field("span"),
+                parent_absent: fields.get("parent").is_none(),
+                name: str_field("name"),
+                detail: str_field("detail"),
+            },
+            "span_close" => LineKind::SpanClose {
+                id: u64_field("span"),
+                status: str_field("status").unwrap_or(""),
+            },
+            "lmp_send" => LineKind::LmpSend {
+                pdu: str_field("pdu"),
+            },
+            "lmp_recv" => LineKind::LmpRecv {
+                pdu: str_field("pdu"),
+            },
+            "link_drop" => LineKind::LinkDrop,
+            "race" => LineKind::Race {
+                attacker_won: fields.get("attacker_won").and_then(Scalar::as_bool) == Some(true),
+            },
+            "page_connect" => LineKind::PageConnect {
+                responder: u64_field("responder"),
+                latency_us: u64_field("latency_us"),
+            },
+            "keystore" => LineKind::Keystore {
+                action: str_field("action").unwrap_or(""),
+            },
+            _ => LineKind::Other,
+        };
         self.line_count += 1;
-        self.ingest(&view_of_line(&line));
+        self.ingest(&LineView {
+            line_no,
+            t,
+            dev,
+            kind,
+        });
         Ok(())
     }
 
@@ -333,10 +447,12 @@ impl StreamAnalyzer {
                 }
             },
             LineKind::LmpSend { pdu: Some(pdu) } if *pdu != "LMP_detach" => {
-                seg.sends
-                    .entry(((*pdu).to_owned(), line.t))
-                    .or_default()
-                    .push(line.line_no);
+                seg.sends.push(SendRec {
+                    pdu: (*pdu).to_owned(),
+                    t: line.t,
+                    line_no: line.line_no,
+                    received: false,
+                });
             }
             LineKind::LmpRecv { pdu: Some(pdu) } if *pdu != "LMP_detach" => {
                 seg.recvs.push(((*pdu).to_owned(), line.t, line.line_no));
@@ -362,12 +478,12 @@ impl StreamAnalyzer {
 
     /// Retires the in-flight segment: folds its spans into the profile
     /// and runs the whole-segment invariant checks, in the same order the
-    /// batch analyzer did, then drops all buffered state.
+    /// batch analyzer did, then clears all buffered state.
     fn retire(&mut self) {
         if !self.seg.non_empty {
             return;
         }
-        let mut seg = std::mem::take(&mut self.seg);
+        let seg = &mut self.seg;
         let seg_idx = self.segment_count;
         self.segment_count += 1;
 
@@ -384,67 +500,34 @@ impl StreamAnalyzer {
                 "segment {seg_idx}: {unclosed} span(s) still open at segment end (world deadline)"
             ));
         }
-        check_lmp_matching(seg_idx, &mut seg, &mut self.violations);
+        check_lmp_matching(seg_idx, seg, &mut self.violations);
         check_ploc_no_pairing(seg_idx, &seg.spans, &mut self.violations);
-        check_keystore_after_auth(seg_idx, &seg, &mut self.violations);
-        check_blocking_implies_win(seg_idx, &seg, &mut self.violations);
-    }
-}
-
-fn view_of_line<'a>(line: &'a TraceLine) -> LineView<'a> {
-    let str_field = |key: &str| line.value.get(key).and_then(Value::as_str);
-    let u64_field = |key: &str| line.value.get(key).and_then(Value::as_u64);
-    let kind = match line.ev.as_str() {
-        "unit_start" => LineKind::UnitStart,
-        "span_open" => LineKind::SpanOpen {
-            id: u64_field("span"),
-            parent_absent: line.value.get("parent").is_none(),
-            name: str_field("name"),
-            detail: str_field("detail"),
-        },
-        "span_close" => LineKind::SpanClose {
-            id: u64_field("span"),
-            status: str_field("status").unwrap_or(""),
-        },
-        "lmp_send" => LineKind::LmpSend {
-            pdu: str_field("pdu"),
-        },
-        "lmp_recv" => LineKind::LmpRecv {
-            pdu: str_field("pdu"),
-        },
-        "link_drop" => LineKind::LinkDrop,
-        "race" => LineKind::Race {
-            attacker_won: line.value.get("attacker_won").and_then(Value::as_bool) == Some(true),
-        },
-        "page_connect" => LineKind::PageConnect {
-            responder: line.value.get("responder").and_then(Value::as_u64),
-            latency_us: line.value.get("latency_us").and_then(Value::as_u64),
-        },
-        "keystore" => LineKind::Keystore {
-            action: str_field("action").unwrap_or(""),
-        },
-        _ => LineKind::Other,
-    };
-    LineView {
-        line_no: line.line_no,
-        t: line.t,
-        dev: line.dev,
-        kind,
+        check_keystore_after_auth(seg_idx, seg, &mut self.violations);
+        check_blocking_implies_win(seg_idx, seg, &mut self.violations);
+        seg.clear();
     }
 }
 
 fn check_lmp_matching(seg_idx: usize, seg: &mut SegState, violations: &mut Vec<Violation>) {
-    // Multiset matching: sends at (pdu, t) pair with recvs at
-    // (pdu, t + LMP_LATENCY_US); LMP_detach was already filtered at
-    // ingest (supervision timeouts inject it on both ends).
+    // Multiset matching: a recv at (pdu, t) consumes a send at
+    // (pdu, t - LMP_LATENCY_US), the latest line first; LMP_detach was
+    // already filtered at ingest (supervision timeouts inject it on both
+    // ends). Sorted by (pdu, t, line), each multiset is one run.
+    let sends = &mut seg.sends;
+    sends.sort_unstable_by(|a, b| (&a.pdu, a.t, a.line_no).cmp(&(&b.pdu, b.t, b.line_no)));
     for (pdu, t, line_no) in &seg.recvs {
-        let matched = t
-            .checked_sub(LMP_LATENCY_US)
-            .and_then(|sent_t| seg.sends.get_mut(&(pdu.clone(), sent_t)))
-            .and_then(Vec::pop)
-            .is_some();
-        if !matched {
-            violations.push(Violation {
+        let send = t.checked_sub(LMP_LATENCY_US).and_then(|sent_t| {
+            let key = |s: &SendRec| (s.pdu.as_str(), s.t).cmp(&(pdu.as_str(), sent_t));
+            let start = sends.partition_point(|s| key(s).is_lt());
+            let len = sends[start..].partition_point(|s| key(s).is_eq());
+            sends[start..start + len]
+                .iter_mut()
+                .rev()
+                .find(|s| !s.received)
+        });
+        match send {
+            Some(send) => send.received = true,
+            None => violations.push(Violation {
                 invariant: "lmp-matching",
                 segment: seg_idx,
                 line: Some(*line_no),
@@ -452,29 +535,24 @@ fn check_lmp_matching(seg_idx: usize, seg: &mut SegState, violations: &mut Vec<V
                     "lmp_recv of {pdu} at t={t} has no matching lmp_send at t={}",
                     t.saturating_sub(LMP_LATENCY_US)
                 ),
-            });
+            }),
         }
     }
-    // Unmatched sends, in artifact line order (each line number is
-    // unique, so the sort is total and deterministic).
-    let mut unmatched: Vec<(usize, &str, u64)> = Vec::new();
-    for ((pdu, sent_t), line_nos) in &seg.sends {
-        for line_no in line_nos {
-            unmatched.push((*line_no, pdu, *sent_t));
-        }
-    }
-    unmatched.sort_unstable();
-    for (line_no, pdu, sent_t) in unmatched {
-        let in_flight_at_deadline = sent_t + LMP_LATENCY_US > seg.last_t;
-        let link_died = seg.drops.iter().any(|&drop_t| drop_t >= sent_t);
+    // Unmatched sends, in artifact line order.
+    let mut unmatched: Vec<&SendRec> = sends.iter().filter(|s| !s.received).collect();
+    unmatched.sort_unstable_by_key(|s| s.line_no);
+    for send in unmatched {
+        let in_flight_at_deadline = send.t + LMP_LATENCY_US > seg.last_t;
+        let link_died = seg.drops.iter().any(|&drop_t| drop_t >= send.t);
         if !in_flight_at_deadline && !link_died {
             violations.push(Violation {
                 invariant: "lmp-matching",
                 segment: seg_idx,
-                line: Some(line_no),
+                line: Some(send.line_no),
                 message: format!(
-                    "lmp_send of {pdu} at t={sent_t} was never received, \
-                     yet no link died and the world outlived the delivery"
+                    "lmp_send of {} at t={} was never received, \
+                     yet no link died and the world outlived the delivery",
+                    send.pdu, send.t
                 ),
             });
         }
@@ -904,8 +982,8 @@ mod tests {
 
     #[test]
     fn unmatched_sends_report_in_line_order() {
-        // Two unmatched sends with different (pdu, t) keys land in one
-        // HashMap; the violations must still come out in artifact order.
+        // Three unmatched sends whose (pdu, t) order is not their line
+        // order; the violations must still come out in artifact order.
         let text = "\
 {\"t\":100,\"dev\":0,\"ev\":\"lmp_send\",\"peer\":\"aa:aa:aa:aa:aa:aa\",\"pdu\":\"LMP_zulu\"}\n\
 {\"t\":200,\"dev\":0,\"ev\":\"lmp_send\",\"peer\":\"aa:aa:aa:aa:aa:aa\",\"pdu\":\"LMP_alpha\"}\n\
@@ -933,6 +1011,50 @@ mod tests {
         let a = s.finish();
         assert_eq!(a.line_count, 2);
         assert!(a.ok(), "{}", a.report());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let line = format!("{{\"t\":1,\"ev\":\"x\",\"a\":{}", "[".repeat(1 << 20));
+        let mut s = StreamAnalyzer::new();
+        let err = s.push_line(&line).expect_err("too deep");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("64 levels"), "{err}");
+        let err = s.push_line(&"[".repeat(1 << 20)).expect_err("too deep");
+        assert_eq!(err.line, 2);
+        assert_eq!(s.finish().line_count, 0);
+    }
+
+    #[test]
+    fn escaped_fields_read_as_their_unescaped_text() {
+        // `\u0074` is `t`, `\u005f` is `_`: escapes change the spelling,
+        // never the meaning, so this is an ordinary LMP exchange.
+        let text = "\
+{\"\\u0074\":100,\"dev\":0,\"ev\":\"lmp\\u005fsend\",\"pdu\":\"LMP_au\\u005frand\"}\n\
+{\"t\":1350,\"dev\":1,\"ev\":\"lmp_recv\",\"pdu\":\"LMP_au_rand\"}\n\
+{\"t\":99999,\"ev\":\"attack_phase\"}\n";
+        let a = analyze_trace(text).expect("parses");
+        assert!(a.ok(), "{}", a.report());
+        // The same pair with the send's PDU spelled differently does not
+        // match — proof the escaped fields were read, not dropped.
+        let mismatched = text.replace("au\\u005frand", "au\\u005fother");
+        assert_eq!(
+            analyze_trace(&mismatched).expect("parses").violations.len(),
+            2
+        );
+    }
+
+    #[test]
+    fn first_member_of_a_name_wins() {
+        // As with `Value::get`: a later duplicate never overrides, even
+        // when the first one has the wrong type.
+        let mut s = StreamAnalyzer::new();
+        s.push_line("{\"t\":5,\"t\":\"x\",\"ev\":\"attack_phase\"}")
+            .expect("first t is an integer");
+        let err = s
+            .push_line("{\"t\":\"x\",\"t\":5,\"ev\":\"attack_phase\"}")
+            .expect_err("first t is a string");
+        assert!(err.message.contains("\"t\""), "{err}");
     }
 
     #[test]

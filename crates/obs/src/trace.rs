@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use blap_types::{BdAddr, Instant};
 
-use crate::json::{esc, escape_into};
+use crate::json::{escape_into, push_u64};
 use crate::span::{SpanId, SpanState};
 
 /// One typed trace event.
@@ -205,150 +205,179 @@ impl TraceEvent {
     /// Key order is fixed so output is byte-comparable. `device` is the
     /// emitting device's world index, when the tracer was scoped to one.
     pub fn render_jsonl(&self, device: Option<u32>, out: &mut String) {
-        let t = self.time().as_micros();
-        let _ = write!(out, "{{\"t\":{t}");
-        if let Some(dev) = device {
-            let _ = write!(out, ",\"dev\":{dev}");
-        }
+        let line = LineWriter::open(out, self.time().as_micros(), device);
         match self {
             TraceEvent::SchedulerDispatch { seq, kind, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"dispatch\",\"seq\":{seq},\"kind\":\"{}\"",
-                    esc(kind)
-                );
+                line.ev("dispatch").uint("seq", *seq).string("kind", kind)
             }
-            TraceEvent::PageStarted { target, .. } => {
-                let _ = write!(out, ",\"ev\":\"page_start\",\"target\":\"{}\"", esc(target));
-            }
+            TraceEvent::PageStarted { target, .. } => line.ev("page_start").addr("target", *target),
             TraceEvent::PageConnected {
                 target,
                 responder,
                 latency_us,
                 raced,
                 ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"page_connect\",\"target\":\"{}\",\"responder\":{responder},\"latency_us\":{latency_us},\"raced\":{raced}",
-                    esc(target)
-                );
-            }
+            } => line
+                .ev("page_connect")
+                .addr("target", *target)
+                .uint("responder", u64::from(*responder))
+                .uint("latency_us", *latency_us)
+                .boolean("raced", *raced),
             TraceEvent::PageTimeout { target, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"page_timeout\",\"target\":\"{}\"",
-                    esc(target)
-                );
+                line.ev("page_timeout").addr("target", *target)
             }
             TraceEvent::RaceOutcome {
                 target,
                 attacker_won,
                 ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"race\",\"target\":\"{}\",\"attacker_won\":{attacker_won}",
-                    esc(target)
-                );
-            }
+            } => line
+                .ev("race")
+                .addr("target", *target)
+                .boolean("attacker_won", *attacker_won),
             TraceEvent::ScanTransition {
                 page_scan,
                 inquiry_scan,
                 ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"scan\",\"page_scan\":{page_scan},\"inquiry_scan\":{inquiry_scan}"
-                );
-            }
+            } => line
+                .ev("scan")
+                .boolean("page_scan", *page_scan)
+                .boolean("inquiry_scan", *inquiry_scan),
             TraceEvent::LmpSend { peer, pdu, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"lmp_send\",\"peer\":\"{}\",\"pdu\":\"{}\"",
-                    esc(peer),
-                    esc(pdu)
-                );
+                line.ev("lmp_send").addr("peer", *peer).string("pdu", pdu)
             }
             TraceEvent::LmpRecv { peer, pdu, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"lmp_recv\",\"peer\":\"{}\",\"pdu\":\"{}\"",
-                    esc(peer),
-                    esc(pdu)
-                );
+                line.ev("lmp_recv").addr("peer", *peer).string("pdu", pdu)
             }
-            TraceEvent::LmpTimeout { peer, .. } => {
-                let _ = write!(out, ",\"ev\":\"lmp_timeout\",\"peer\":\"{}\"", esc(peer));
-            }
+            TraceEvent::LmpTimeout { peer, .. } => line.ev("lmp_timeout").addr("peer", *peer),
             TraceEvent::HciSeam {
                 direction,
                 kind,
                 name,
                 ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"hci\",\"dir\":\"{}\",\"kind\":\"{}\",\"name\":\"{}\"",
-                    esc(direction),
-                    esc(kind),
-                    esc(name)
-                );
-            }
-            TraceEvent::LinkDropped { reason, .. } => {
-                let _ = write!(out, ",\"ev\":\"link_drop\",\"reason\":\"{}\"", esc(reason));
-            }
-            TraceEvent::KeystoreMutation { peer, action, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"keystore\",\"peer\":\"{}\",\"action\":\"{}\"",
-                    esc(peer),
-                    esc(action)
-                );
-            }
-            TraceEvent::AttackPhase { label, .. } => {
-                let _ = write!(out, ",\"ev\":\"attack_phase\",\"label\":\"{}\"", esc(label));
-            }
-            TraceEvent::Warning { message, .. } => {
-                out.push_str(",\"ev\":\"warning\",\"message\":\"");
-                escape_into(message, out);
-                out.push('"');
-            }
-            TraceEvent::UnitStart { unit, label, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"unit_start\",\"unit\":{unit},\"label\":\"{}\"",
-                    esc(label)
-                );
-            }
+            } => line
+                .ev("hci")
+                .string("dir", direction)
+                .string("kind", kind)
+                .string("name", name),
+            TraceEvent::LinkDropped { reason, .. } => line.ev("link_drop").string("reason", reason),
+            TraceEvent::KeystoreMutation { peer, action, .. } => line
+                .ev("keystore")
+                .addr("peer", *peer)
+                .string("action", action),
+            TraceEvent::AttackPhase { label, .. } => line.ev("attack_phase").string("label", label),
+            TraceEvent::Warning { message, .. } => line.ev("warning").string("message", message),
+            TraceEvent::UnitStart { unit, label, .. } => line
+                .ev("unit_start")
+                .uint("unit", *unit)
+                .string("label", label),
             TraceEvent::SpanOpen {
                 span,
                 parent,
                 name,
                 detail,
                 ..
-            } => {
-                let _ = write!(out, ",\"ev\":\"span_open\",\"span\":{}", span.raw());
-                if !parent.is_none() {
-                    let _ = write!(out, ",\"parent\":{}", parent.raw());
-                }
-                let _ = write!(out, ",\"name\":\"{}\"", esc(name));
-                if !detail.is_empty() {
-                    out.push_str(",\"detail\":\"");
-                    escape_into(detail, out);
-                    out.push('"');
-                }
-            }
-            TraceEvent::SpanClose { span, status, .. } => {
-                let _ = write!(
-                    out,
-                    ",\"ev\":\"span_close\",\"span\":{},\"status\":\"{}\"",
-                    span.raw(),
-                    esc(status)
-                );
-            }
+            } => line
+                .ev("span_open")
+                .uint("span", span.raw())
+                .opt_uint("parent", (!parent.is_none()).then(|| parent.raw()))
+                .string("name", name)
+                .opt_string("detail", (!detail.is_empty()).then_some(detail.as_str())),
+            TraceEvent::SpanClose { span, status, .. } => line
+                .ev("span_close")
+                .uint("span", span.raw())
+                .string("status", status),
         }
-        out.push('}');
+        .close();
+    }
+}
+
+/// Writes one JSONL trace line without `fmt`: the fixed head
+/// `{"t":…[,"dev":…]` on [`LineWriter::open`], then `"ev"` and one member
+/// per call, and the closing `}` on [`LineWriter::close`]. Both
+/// renderers — [`TraceEvent::render_jsonl`] and
+/// [`crate::binfmt::Frame::render_jsonl`] — write through it, so their
+/// bytes cannot drift apart.
+pub(crate) struct LineWriter<'a>(&'a mut String);
+
+impl<'a> LineWriter<'a> {
+    /// Starts a line at virtual time `t` (µs).
+    pub(crate) fn open(out: &'a mut String, t: u64, dev: Option<u32>) -> Self {
+        out.push_str("{\"t\":");
+        push_u64(out, t);
+        if let Some(dev) = dev {
+            out.push_str(",\"dev\":");
+            push_u64(out, u64::from(dev));
+        }
+        LineWriter(out)
+    }
+
+    /// The event name, which every line carries right after its head.
+    pub(crate) fn ev(self, name: &str) -> Self {
+        self.0.push_str(",\"ev\":\"");
+        self.0.push_str(name);
+        self.0.push('"');
+        self
+    }
+
+    fn key(&mut self, key: &str) {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+
+    pub(crate) fn uint(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        push_u64(self.0, value);
+        self
+    }
+
+    pub(crate) fn opt_uint(self, key: &str, value: Option<u64>) -> Self {
+        match value {
+            Some(value) => self.uint(key, value),
+            None => self,
+        }
+    }
+
+    pub(crate) fn boolean(mut self, key: &str, value: bool) -> Self {
+        self.key(key);
+        self.0.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// A string member, escaped.
+    pub(crate) fn string(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.0.push('"');
+        escape_into(value, self.0);
+        self.0.push('"');
+        self
+    }
+
+    pub(crate) fn opt_string(self, key: &str, value: Option<&str>) -> Self {
+        match value {
+            Some(value) => self.string(key, value),
+            None => self,
+        }
+    }
+
+    /// An address member in its display form, `"aa:bb:cc:dd:ee:ff"`.
+    fn addr(mut self, key: &str, addr: BdAddr) -> Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [b':'; 17];
+        for (i, byte) in addr.to_bytes().into_iter().enumerate() {
+            text[3 * i] = HEX[usize::from(byte >> 4)];
+            text[3 * i + 1] = HEX[usize::from(byte & 0xf)];
+        }
+        self.key(key);
+        self.0.push('"');
+        self.0
+            .push_str(std::str::from_utf8(&text).expect("ASCII address"));
+        self.0.push('"');
+        self
+    }
+
+    pub(crate) fn close(self) {
+        self.0.push('}');
     }
 }
 

@@ -12,7 +12,14 @@
 //! back-to-back equals analyzing each alone), and a fault-injection
 //! property checks that a torn final line fails the push without
 //! corrupting everything already analyzed.
+//!
+//! A last property pins the in-place line scanner under `push_line`
+//! against the tree parser: hostile spellings of trace lines (escaped
+//! keys and values, duplicate keys, nested values, non-object documents,
+//! non-u64 numbers, malformed JSON) must analyze exactly like the
+//! canonical line `json::parse` + `Value::get` make of them.
 
+use blap_obs::json::{self, Value};
 use blap_obs::trace::TraceEvent;
 use blap_obs::{analyze_trace, SpanId, StreamAnalyzer, TraceAnalysis};
 use blap_types::{BdAddr, Instant};
@@ -396,5 +403,286 @@ proptest! {
             clean.push_line(line).expect("intact line pushes");
         }
         assert_same(&clean.finish(), &analyzer.finish());
+    }
+}
+
+/// Every member `push_line` reads: all a canonical line keeps.
+const ANALYZER_KEYS: &[&str] = &[
+    "t",
+    "dev",
+    "ev",
+    "span",
+    "parent",
+    "name",
+    "detail",
+    "status",
+    "pdu",
+    "attacker_won",
+    "responder",
+    "latency_us",
+    "action",
+];
+
+/// Timestamps: mostly schedule-like u64s (so LMP sends and receives can
+/// pair up), some numbers that are valid JSON but not u64.
+const TIMES: &[&str] = &[
+    "0",
+    "100",
+    "1350",
+    "2600",
+    "5000",
+    "-1",
+    "1.0",
+    "18446744073709551616",
+    "1e3",
+    "\"100\"",
+];
+const DEVS: &[Option<&str>] = &[
+    None,
+    Some("0"),
+    Some("1"),
+    Some("2"),
+    Some("4294967295"),
+    Some("4294967296"),
+    Some("-1"),
+    Some("\"2\""),
+];
+/// Replacement values for duplicated or overwritten members.
+const ODD_VALUES: &[&str] = &[
+    "\"x\"",
+    "5",
+    "true",
+    "null",
+    "[1]",
+    "-1",
+    "{\"k\":[null,{}]}",
+    "\"LMP_au_rand\"",
+];
+/// Whole lines that are not an ordinary trace object.
+const ODD_LINES: &[&str] = &[
+    "",
+    "   ",
+    "\t \t",
+    "[1]",
+    "\"x\"",
+    "5",
+    "null",
+    "{}",
+    "{\"t\":1,\"ev\":\"x\",\"a\":\"\\u+041\"}",
+    "{\"t\":1,\"ev\":\"x\",\"a\":-}",
+    "{\"t\":1,\"ev\":\"x\",\"a\":1.2.3}",
+    "{\"t\":007,\"ev\":\"x\"}",
+    "{\"t\":1,\"ev\":\"x\"} trailing",
+    "{\"t\":1,\"ev\":\"x\",}",
+    "{\"t\":1,\"ev\":\"x\\q\"}",
+];
+
+/// The members of one trace-shaped line, before any hostile rewrite.
+fn event_members(event: usize, span: u64, pick: usize) -> Vec<(String, String)> {
+    let s = |v: &str| format!("\"{v}\"");
+    let member = |k: &str, v: String| (k.to_owned(), v);
+    match event {
+        0 => vec![member("ev", s("unit_start")), member("unit", "0".into())],
+        1 => vec![
+            member("ev", s("span_open")),
+            member("span", span.to_string()),
+            member("name", s("trial")),
+            member("detail", s(["blocking", "baseline"][pick % 2])),
+        ],
+        2 => vec![
+            member("ev", s("span_open")),
+            member("span", span.to_string()),
+            member("parent", "1".into()),
+            member("name", s(SPAN_NAMES[pick % SPAN_NAMES.len()])),
+            member("detail", s("00:11:22:33:44:55")),
+        ],
+        3 => vec![
+            member("ev", s("span_close")),
+            member("span", span.to_string()),
+            member("status", s([STATUSES, TRIAL_STATUSES].concat()[pick % 6])),
+        ],
+        4 | 5 => vec![
+            member("ev", s(["lmp_send", "lmp_recv"][event - 4])),
+            member("peer", s("00:11:22:33:44:55")),
+            member("pdu", s(PDUS[pick % PDUS.len()])),
+        ],
+        6 => vec![member("ev", s("link_drop")), member("reason", s("detach"))],
+        7 => vec![
+            member("ev", s("race")),
+            member("target", s("00:11:22:33:44:55")),
+            member("attacker_won", ["true", "false"][pick % 2].into()),
+        ],
+        8 => vec![
+            member("ev", s("page_connect")),
+            member("target", s("00:11:22:33:44:55")),
+            member("responder", (pick % 3).to_string()),
+            member("latency_us", "1250".into()),
+            member("raced", "false".into()),
+        ],
+        9 => vec![
+            member("ev", s("keystore")),
+            member("peer", s("00:11:22:33:44:55")),
+            member("action", s(ACTIONS[pick % ACTIONS.len()])),
+        ],
+        10 => vec![
+            member("ev", s("hci")),
+            member("dir", s("sent")),
+            member("kind", s("command")),
+            member("name", s("HCI_Create_Connection")),
+        ],
+        _ => vec![
+            member("ev", s("dispatch")),
+            member("seq", pick.to_string()),
+            member("kind", s("TimerFire")),
+        ],
+    }
+}
+
+/// Spells the first character of a key, or of a string literal's body,
+/// as a `\uXXXX` escape — same text, different bytes.
+fn escape_first(body: &str) -> String {
+    match body.chars().next() {
+        Some(first) => format!("\\u{:04x}{}", first as u32, &body[first.len_utf8()..]),
+        None => String::new(),
+    }
+}
+
+/// One generated line: a trace-shaped object put through one hostile
+/// rewrite, or one of the odd whole lines.
+fn hostile_line() -> impl Strategy<Value = String> {
+    (
+        (0..12usize, 1..4u64, 0..12usize),
+        (0..TIMES.len(), 0..DEVS.len()),
+        0..9usize,
+        0..8usize,
+        0..ODD_VALUES.len(),
+        0..ODD_LINES.len(),
+    )
+        .prop_map(
+            |((event, span, pick), (t, dev), rewrite, at, odd, odd_line)| {
+                let mut members = vec![("t".to_owned(), TIMES[t].to_owned())];
+                if let Some(dev) = DEVS[dev] {
+                    members.push(("dev".to_owned(), dev.to_owned()));
+                }
+                members.extend(event_members(event, span, pick));
+                let at = at % members.len();
+                match rewrite {
+                    0 => return ODD_LINES[odd_line].to_owned(),
+                    1 => members[at].0 = escape_first(&members[at].0),
+                    2 => {
+                        if let Some(body) = members[at].1.strip_prefix('"') {
+                            members[at].1 = format!("\"{}", escape_first(body));
+                        }
+                    }
+                    // A duplicate before the original shadows it; after, it
+                    // is shadowed.
+                    3 => members.insert(at, (members[at].0.clone(), ODD_VALUES[odd].to_owned())),
+                    4 => {
+                        members.insert(at + 1, (members[at].0.clone(), ODD_VALUES[odd].to_owned()))
+                    }
+                    5 => members[at].1 = "[[1,{\"a\":[]}],{\"b\":{\"c\":null}}]".to_owned(),
+                    6 => members.insert(at, ("parent".to_owned(), "null".to_owned())),
+                    7 => members.insert(at, ("extra".to_owned(), ODD_VALUES[odd].to_owned())),
+                    _ => {}
+                }
+                let body: Vec<String> = members
+                    .iter()
+                    .map(|(k, v)| format!("\"{k}\":{v}"))
+                    .collect();
+                // Rewrite 8: legal whitespace between members.
+                let sep = if rewrite == 8 { " ,\t" } else { "," };
+                format!("{{{}}}", body.join(sep))
+            },
+        )
+}
+
+/// Canonical JSON text of a parsed value: escapes as the renderers
+/// write them, numbers as their literal text.
+fn render_value(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) => out.push_str(n),
+        Value::Str(s) => {
+            out.push('"');
+            json::escape_into(s, out);
+            out.push('"');
+        }
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_value(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(members) => {
+            out.push('{');
+            for (i, (key, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                json::escape_into(key, out);
+                out.push_str("\":");
+                render_value(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// The line the tree parser says `line` means to the analyzer: only the
+/// members it reads, first occurrence of each, canonically spelled.
+fn canonical_line(value: &Value) -> String {
+    let mut out = String::from("{");
+    for key in ANALYZER_KEYS {
+        if let Some(member) = value.get(key) {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{key}\":"));
+            render_value(member, &mut out);
+        }
+    }
+    out.push('}');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The line scanner reads every hostile spelling exactly as the tree
+    /// parser's canonical form of it, and fails exactly where the tree
+    /// parser fails, with the same error.
+    #[test]
+    fn hostile_lines_analyze_like_their_canonical_form(lines in vec(hostile_line(), 1..40)) {
+        let mut hostile = StreamAnalyzer::new();
+        let mut canonical = StreamAnalyzer::new();
+        for (i, line) in lines.iter().enumerate() {
+            let pushed = hostile.push_line(line);
+            if line.trim().is_empty() {
+                prop_assert!(pushed.is_ok());
+                canonical.push_line(line).expect("blank lines are skipped");
+                continue;
+            }
+            match json::parse(line) {
+                Err(want) => {
+                    let err = pushed.expect_err("the tree parser rejects this line");
+                    prop_assert_eq!(err.line, i + 1);
+                    prop_assert_eq!(&err.message, &want.to_string(), "{:?}", line);
+                    prop_assert!(canonical.push_line(line).is_err());
+                }
+                Ok(value) => {
+                    let canon = canonical_line(&value);
+                    let from_canon = canonical.push_line(&canon);
+                    prop_assert_eq!(&pushed, &from_canon, "{:?} vs {:?}", line, canon);
+                }
+            }
+        }
+        prop_assert_eq!(hostile.lines_seen(), canonical.lines_seen());
+        assert_same(&hostile.finish(), &canonical.finish());
     }
 }

@@ -19,7 +19,7 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use blap_bench::cli::{write_artifact, Args};
+use blap_bench::cli::Args;
 use blap_bench::compare::{compare, history_record, CompareConfig};
 use blap_obs::prof;
 
@@ -147,12 +147,7 @@ fn run_prof(argv: impl Iterator<Item = String>) -> ! {
         }
         other => usage_exit(&format!("unknown workload {other:?} (table1 or table2)")),
     }
-    let report = prof::report();
-    print!("{}", report.render_table());
-    if let Some(prefix) = &args.profile_prefix {
-        write_artifact(&format!("{prefix}.json"), &report.to_json());
-        write_artifact(&format!("{prefix}.folded"), &report.to_folded());
-        eprintln!("profile sidecar: {prefix}.json, {prefix}.folded");
-    }
+    print!("{}", prof::report().render_table());
+    args.write_profile();
     std::process::exit(0);
 }

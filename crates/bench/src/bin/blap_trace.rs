@@ -289,15 +289,12 @@ fn analyze_stream(
             }
         }
         TraceInput::Binary(mut frames) => {
-            // Frames render to canonical JSONL lines and take the same
+            // Frames carry their canonical JSONL lines and take the same
             // path as a converted file would: one analyzer, two formats.
-            let mut line = String::new();
             loop {
                 match frames.next_frame() {
                     Ok(Some(frame)) => {
-                        line.clear();
-                        frame.render_jsonl(&mut line);
-                        if let Err(err) = analyzer.push_line(&line) {
+                        if let Err(err) = analyzer.push_line(frame.line()) {
                             eprintln!("error: {path}: {err}");
                             return Err(ExitCode::from(2));
                         }
@@ -412,14 +409,13 @@ fn convert(input_path: &str, output_path: &str) -> ExitCode {
         // Binary in -> JSONL out.
         TraceInput::Binary(mut frames) => {
             let mut output = output;
-            let mut line = String::new();
             loop {
                 match frames.next_frame() {
                     Ok(Some(frame)) => {
-                        line.clear();
-                        frame.render_jsonl(&mut line);
-                        line.push('\n');
-                        if let Err(err) = output.write_all(line.as_bytes()) {
+                        let written = output
+                            .write_all(frame.line().as_bytes())
+                            .and_then(|()| output.write_all(b"\n"));
+                        if let Err(err) = written {
                             return write_failed(err);
                         }
                         converted += 1;

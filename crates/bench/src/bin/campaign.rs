@@ -292,7 +292,7 @@ fn print_utilization() {
             worker.worker,
             worker.tasks,
             std::time::Duration::from_nanos(worker.busy_ns),
-            100.0 * worker.imbalance,
+            100.0 * (worker.imbalance - 1.0),
         );
     }
 }

@@ -4,9 +4,9 @@
 //! eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
 //! loop, the P-256 field multiply, key generation and ECDH (the Stage-1
 //! exchange behind every simulated pairing), the trace read path
-//! (`StreamAnalyzer::push_line` per line and `Frame::render_jsonl` per
-//! frame over the Table II trace fixture), and the disabled-telemetry
-//! hook (pinning the zero-cost-when-off
+//! (`StreamAnalyzer::push_line` per line, and `FrameReader::next_frame`
+//! and `Frame::render_jsonl` per frame, over the Table II trace fixture),
+//! and the disabled-telemetry hook (pinning the zero-cost-when-off
 //! contract of the live telemetry tier) — plus end-to-end wall times for
 //! the table drivers and a
 //! `throughput` section with the batched sweep figures
@@ -38,7 +38,7 @@ use blap_crypto::ccm::{OpenBatch, SealedFrame};
 use blap_crypto::p256::{FieldElement, KeyPair};
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
-use blap_obs::{Frame, StreamAnalyzer};
+use blap_obs::{Frame, FrameReader, FrameWriter, StreamAnalyzer};
 use blap_sim::{profiles, SniffedFrame, World};
 use blap_types::{BdAddr, ConnectionHandle, Duration, LinkKey, LinkKeyType, ServiceUuid};
 use std::hint::black_box;
@@ -259,8 +259,10 @@ fn main() {
     });
 
     // The trace read path `blap-trace check` runs on: a fresh analyzer
-    // over the committed Table II trace, per line; and the same lines as
-    // BLAPTRC1 frames rendered back to JSONL, per frame.
+    // over the committed Table II trace, per line; the same trace as one
+    // BLAPTRC1 stream read back frame by frame (`next_frame` decodes and
+    // renders each payload); and `render_jsonl`, which copies a frame's
+    // line out, per frame.
     let trace = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/table2_trace.jsonl"
@@ -278,6 +280,17 @@ fn main() {
         .iter()
         .map(|line| Frame::from_jsonl(line).expect("canonical fixture line"))
         .collect();
+    let mut writer = FrameWriter::new(Vec::new()).expect("in-memory writer");
+    for frame in &frames {
+        writer.write_frame(frame).expect("in-memory write");
+    }
+    let stream = writer.finish().expect("in-memory flush");
+    let frame_next_frame = ns_per_op(20, || {
+        let mut reader = FrameReader::new(black_box(&stream[..])).expect("magic");
+        while let Some(frame) = reader.next_frame().expect("well-formed") {
+            black_box(frame);
+        }
+    }) / frames.len() as f64;
     let mut rendered = String::with_capacity(256);
     let frame_render_jsonl = ns_per_op(50, || {
         for frame in &frames {
@@ -386,6 +399,10 @@ fn main() {
     println!("    \"p256_keygen\": {},", json_number(p256_keygen));
     println!("    \"p256_ecdh\": {},", json_number(p256_ecdh));
     println!("    \"trace_push_line\": {},", json_number(trace_push_line));
+    println!(
+        "    \"frame_next_frame\": {},",
+        json_number(frame_next_frame)
+    );
     println!(
         "    \"frame_render_jsonl\": {},",
         json_number(frame_render_jsonl)

@@ -8,38 +8,40 @@
 //! payload length and a payload of
 //!
 //! ```text
-//! tag:u8  flags:u8  t:varint  [dev:varint]  per-tag fields...
+//! tag:u8  flags:u8  t:varint  [dev:varint]  members...
 //! ```
 //!
-//! One tag per [`TraceEvent`] variant (0 = `dispatch` … 16 =
-//! `span_close`, declaration order). `flags` bit 0 marks a present
-//! device id, bits 1 and 2 the optional `parent`/`detail` of a
-//! `span_open`. Strings are varint-length-prefixed UTF-8; booleans are a
-//! strict `0`/`1` byte. The length prefix lets a reader skip or validate
-//! frames without understanding every tag, and makes torn final frames
-//! (killed writer) detectable: a frame that ends early is a
-//! [`CodecError`], never a panic or a silent truncation.
+//! One table, `SCHEMA`, drives both directions. Its row index is the tag
+//! (0 = `dispatch` … 16 = `span_close`, [`TraceEvent`] declaration
+//! order), and a row holds the `ev` name and the members after `t`/`dev`
+//! in JSONL key order, which is also their payload order. `flags` bit 0
+//! marks a present device id; the k-th optional member of a row owns bit
+//! k (so `span_open`'s `parent`/`detail` are bits 1 and 2). Integers are
+//! varints, strings varint-length-prefixed UTF-8, booleans a strict
+//! `0`/`1` byte. The length prefix lets a reader skip or validate frames
+//! without understanding every tag, and makes torn final frames (killed
+//! writer) detectable: a frame that ends early is a [`CodecError`], never
+//! a panic or a silent truncation.
 //!
-//! The bridge type is [`Frame`]: an owned, self-contained event decoded
-//! from either format. `Frame::render_jsonl` reproduces
-//! [`TraceEvent::render_jsonl`] byte for byte, and [`Frame::from_jsonl`]
-//! *verifies canonicality* — it re-renders what it parsed and rejects the
-//! line on any byte mismatch (non-canonical number spellings, reordered
-//! or extra keys). That check is what makes `blap-trace convert`
-//! honestly byte-deterministic: JSONL → binary → JSONL is the identity
-//! on every artifact our tracer can produce, and anything else is
-//! refused loudly instead of silently rewritten.
+//! A [`Frame`] is one canonical JSONL line together with its payload.
+//! [`Frame::from_jsonl`] *verifies canonicality*: it encodes the line,
+//! renders the payload back, and rejects the line on any byte mismatch
+//! (non-canonical number spellings, reordered or extra keys). That check
+//! is what makes `blap-trace convert` honestly byte-deterministic:
+//! JSONL → binary → JSONL is the identity on every line it accepts —
+//! everything [`TraceEvent::render_jsonl`] produces among them — and
+//! anything else is refused loudly instead of silently rewritten.
+//! [`FrameWriter`]/[`FrameReader`] are the streaming file surfaces
+//! `blap-trace` uses.
 //!
-//! [`BinaryBuffer`] is the in-memory [`TraceSink`] counterpart of
-//! [`crate::trace::JsonlBuffer`]; [`FrameWriter`]/[`FrameReader`] are the
-//! streaming file surfaces `blap-trace` uses.
+//! [`TraceEvent`]: crate::trace::TraceEvent
+//! [`TraceEvent::render_jsonl`]: crate::trace::TraceEvent::render_jsonl
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
 
-use crate::json::{self, Fields, Scalar};
-use crate::trace::{LineWriter, TraceEvent, TraceSink};
+use crate::json::{self, Scalar};
+use crate::trace::LineWriter;
 
 /// File magic: identifies a binary trace stream, version 1.
 pub const MAGIC: [u8; 8] = *b"BLAPTRC1";
@@ -50,7 +52,78 @@ pub const MAGIC: [u8; 8] = *b"BLAPTRC1";
 /// prefix from asking the reader to allocate gigabytes.
 const MAX_PAYLOAD: u64 = 1 << 20;
 
-/// Every member [`Frame::from_jsonl`] reads, over all event kinds.
+/// The type of one event member, in JSONL and on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ty {
+    /// A JSON unsigned integer; a varint.
+    U64,
+    /// A JSON boolean; a `0`/`1` byte.
+    Bool,
+    /// A JSON string; a varint length and that many UTF-8 bytes.
+    Str,
+    /// A `U64` that may be absent; its flag bit says whether it is there.
+    OptU64,
+    /// A `Str` that may be absent; its flag bit says whether it is there.
+    OptStr,
+}
+
+use Ty::{Bool, OptStr, OptU64, Str, U64};
+
+impl Ty {
+    fn optional(self) -> bool {
+        matches!(self, OptU64 | OptStr)
+    }
+
+    /// How an error message names a member of this type.
+    fn noun(self) -> &'static str {
+        match self {
+            U64 | OptU64 => "integer",
+            Bool => "boolean",
+            Str | OptStr => "string",
+        }
+    }
+}
+
+/// The BLAPTRC1 schema. The row index is the frame tag; each row is an
+/// `ev` name and the members that follow `t`/`dev`, in JSONL key order.
+static SCHEMA: [(&str, &[(&str, Ty)]); 17] = [
+    ("dispatch", &[("seq", U64), ("kind", Str)]),
+    ("page_start", &[("target", Str)]),
+    (
+        "page_connect",
+        &[
+            ("target", Str),
+            ("responder", U64),
+            ("latency_us", U64),
+            ("raced", Bool),
+        ],
+    ),
+    ("page_timeout", &[("target", Str)]),
+    ("race", &[("target", Str), ("attacker_won", Bool)]),
+    ("scan", &[("page_scan", Bool), ("inquiry_scan", Bool)]),
+    ("lmp_send", &[("peer", Str), ("pdu", Str)]),
+    ("lmp_recv", &[("peer", Str), ("pdu", Str)]),
+    ("lmp_timeout", &[("peer", Str)]),
+    ("hci", &[("dir", Str), ("kind", Str), ("name", Str)]),
+    ("link_drop", &[("reason", Str)]),
+    ("keystore", &[("peer", Str), ("action", Str)]),
+    ("attack_phase", &[("label", Str)]),
+    ("warning", &[("message", Str)]),
+    ("unit_start", &[("unit", U64), ("label", Str)]),
+    (
+        "span_open",
+        &[
+            ("span", U64),
+            ("parent", OptU64),
+            ("name", Str),
+            ("detail", OptStr),
+        ],
+    ),
+    ("span_close", &[("span", U64), ("status", Str)]),
+];
+
+/// Every member [`Frame::from_jsonl`] reads: `t`, `dev`, `ev`, then each
+/// `SCHEMA` key where it first appears.
 const FRAME_KEYS: [&str; 25] = [
     "t",
     "dev",
@@ -80,8 +153,19 @@ const FRAME_KEYS: [&str; 25] = [
 ];
 
 const FLAG_DEV: u8 = 1 << 0;
-const FLAG_PARENT: u8 = 1 << 1;
-const FLAG_DETAIL: u8 = 1 << 2;
+
+/// The members of schema row `tag`, each with the flag bit it owns (0 for
+/// a required member).
+fn members(tag: usize) -> impl Iterator<Item = (&'static str, Ty, u8)> {
+    let mut bit = FLAG_DEV;
+    SCHEMA[tag].1.iter().map(move |&(key, ty)| {
+        if !ty.optional() {
+            return (key, ty, 0);
+        }
+        bit <<= 1;
+        (key, ty, bit)
+    })
+}
 
 /// A malformed binary trace stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,636 +196,142 @@ pub fn is_binary(prefix: &[u8]) -> bool {
     prefix.starts_with(&MAGIC)
 }
 
-/// One decoded trace event, owned and format-independent: the meeting
-/// point of the JSONL and binary codecs.
+/// One trace event in both forms: its canonical JSONL line and its
+/// BLAPTRC1 payload (everything after the length prefix).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
-    /// Virtual timestamp in microseconds.
-    pub t: u64,
-    /// Emitting device index, when the line was device-scoped.
-    pub dev: Option<u32>,
-    /// The event payload.
-    pub kind: FrameKind,
-}
-
-/// The per-event payload of a [`Frame`], mirroring [`TraceEvent`] with
-/// owned strings (a decoded frame outlives no borrowed source).
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // Field meanings are documented on `TraceEvent`.
-pub enum FrameKind {
-    Dispatch {
-        seq: u64,
-        kind: String,
-    },
-    PageStart {
-        target: String,
-    },
-    PageConnect {
-        target: String,
-        responder: u64,
-        latency_us: u64,
-        raced: bool,
-    },
-    PageTimeout {
-        target: String,
-    },
-    Race {
-        target: String,
-        attacker_won: bool,
-    },
-    Scan {
-        page_scan: bool,
-        inquiry_scan: bool,
-    },
-    LmpSend {
-        peer: String,
-        pdu: String,
-    },
-    LmpRecv {
-        peer: String,
-        pdu: String,
-    },
-    LmpTimeout {
-        peer: String,
-    },
-    Hci {
-        dir: String,
-        kind: String,
-        name: String,
-    },
-    LinkDrop {
-        reason: String,
-    },
-    Keystore {
-        peer: String,
-        action: String,
-    },
-    AttackPhase {
-        label: String,
-    },
-    Warning {
-        message: String,
-    },
-    UnitStart {
-        unit: u64,
-        label: String,
-    },
-    SpanOpen {
-        span: u64,
-        parent: Option<u64>,
-        name: String,
-        detail: Option<String>,
-    },
-    SpanClose {
-        span: u64,
-        status: String,
-    },
+    line: String,
+    payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Condenses a live [`TraceEvent`] into a frame — the
-    /// [`BinaryBuffer`] sink's ingestion path.
-    pub fn from_event(device: Option<u32>, event: &TraceEvent) -> Frame {
-        let t = event.time().as_micros();
-        let kind = match event {
-            TraceEvent::SchedulerDispatch { seq, kind, .. } => FrameKind::Dispatch {
-                seq: *seq,
-                kind: (*kind).to_owned(),
-            },
-            TraceEvent::PageStarted { target, .. } => FrameKind::PageStart {
-                target: target.to_string(),
-            },
-            TraceEvent::PageConnected {
-                target,
-                responder,
-                latency_us,
-                raced,
-                ..
-            } => FrameKind::PageConnect {
-                target: target.to_string(),
-                responder: u64::from(*responder),
-                latency_us: *latency_us,
-                raced: *raced,
-            },
-            TraceEvent::PageTimeout { target, .. } => FrameKind::PageTimeout {
-                target: target.to_string(),
-            },
-            TraceEvent::RaceOutcome {
-                target,
-                attacker_won,
-                ..
-            } => FrameKind::Race {
-                target: target.to_string(),
-                attacker_won: *attacker_won,
-            },
-            TraceEvent::ScanTransition {
-                page_scan,
-                inquiry_scan,
-                ..
-            } => FrameKind::Scan {
-                page_scan: *page_scan,
-                inquiry_scan: *inquiry_scan,
-            },
-            TraceEvent::LmpSend { peer, pdu, .. } => FrameKind::LmpSend {
-                peer: peer.to_string(),
-                pdu: (*pdu).to_owned(),
-            },
-            TraceEvent::LmpRecv { peer, pdu, .. } => FrameKind::LmpRecv {
-                peer: peer.to_string(),
-                pdu: (*pdu).to_owned(),
-            },
-            TraceEvent::LmpTimeout { peer, .. } => FrameKind::LmpTimeout {
-                peer: peer.to_string(),
-            },
-            TraceEvent::HciSeam {
-                direction,
-                kind,
-                name,
-                ..
-            } => FrameKind::Hci {
-                dir: (*direction).to_owned(),
-                kind: (*kind).to_owned(),
-                name: (*name).to_owned(),
-            },
-            TraceEvent::LinkDropped { reason, .. } => FrameKind::LinkDrop {
-                reason: (*reason).to_owned(),
-            },
-            TraceEvent::KeystoreMutation { peer, action, .. } => FrameKind::Keystore {
-                peer: peer.to_string(),
-                action: (*action).to_owned(),
-            },
-            TraceEvent::AttackPhase { label, .. } => FrameKind::AttackPhase {
-                label: (*label).to_owned(),
-            },
-            TraceEvent::Warning { message, .. } => FrameKind::Warning {
-                message: message.clone(),
-            },
-            TraceEvent::UnitStart { unit, label } => FrameKind::UnitStart {
-                unit: *unit,
-                label: (*label).to_owned(),
-            },
-            TraceEvent::SpanOpen {
-                span,
-                parent,
-                name,
-                detail,
-                ..
-            } => FrameKind::SpanOpen {
-                span: span.raw(),
-                parent: (!parent.is_none()).then(|| parent.raw()),
-                name: (*name).to_owned(),
-                detail: (!detail.is_empty()).then(|| detail.clone()),
-            },
-            TraceEvent::SpanClose { span, status, .. } => FrameKind::SpanClose {
-                span: span.raw(),
-                status: (*status).to_owned(),
-            },
-        };
-        Frame {
-            t,
-            dev: device,
-            kind,
-        }
-    }
-
-    /// Renders the frame as one JSONL object (no trailing newline),
-    /// byte-identical to what [`TraceEvent::render_jsonl`] would have
-    /// produced for the originating event.
-    pub fn render_jsonl(&self, out: &mut String) {
-        let line = LineWriter::open(out, self.t, self.dev);
-        match &self.kind {
-            FrameKind::Dispatch { seq, kind } => {
-                line.ev("dispatch").uint("seq", *seq).string("kind", kind)
-            }
-            FrameKind::PageStart { target } => line.ev("page_start").string("target", target),
-            FrameKind::PageConnect {
-                target,
-                responder,
-                latency_us,
-                raced,
-            } => line
-                .ev("page_connect")
-                .string("target", target)
-                .uint("responder", *responder)
-                .uint("latency_us", *latency_us)
-                .boolean("raced", *raced),
-            FrameKind::PageTimeout { target } => line.ev("page_timeout").string("target", target),
-            FrameKind::Race {
-                target,
-                attacker_won,
-            } => line
-                .ev("race")
-                .string("target", target)
-                .boolean("attacker_won", *attacker_won),
-            FrameKind::Scan {
-                page_scan,
-                inquiry_scan,
-            } => line
-                .ev("scan")
-                .boolean("page_scan", *page_scan)
-                .boolean("inquiry_scan", *inquiry_scan),
-            FrameKind::LmpSend { peer, pdu } => {
-                line.ev("lmp_send").string("peer", peer).string("pdu", pdu)
-            }
-            FrameKind::LmpRecv { peer, pdu } => {
-                line.ev("lmp_recv").string("peer", peer).string("pdu", pdu)
-            }
-            FrameKind::LmpTimeout { peer } => line.ev("lmp_timeout").string("peer", peer),
-            FrameKind::Hci { dir, kind, name } => line
-                .ev("hci")
-                .string("dir", dir)
-                .string("kind", kind)
-                .string("name", name),
-            FrameKind::LinkDrop { reason } => line.ev("link_drop").string("reason", reason),
-            FrameKind::Keystore { peer, action } => line
-                .ev("keystore")
-                .string("peer", peer)
-                .string("action", action),
-            FrameKind::AttackPhase { label } => line.ev("attack_phase").string("label", label),
-            FrameKind::Warning { message } => line.ev("warning").string("message", message),
-            FrameKind::UnitStart { unit, label } => line
-                .ev("unit_start")
-                .uint("unit", *unit)
-                .string("label", label),
-            FrameKind::SpanOpen {
-                span,
-                parent,
-                name,
-                detail,
-            } => line
-                .ev("span_open")
-                .uint("span", *span)
-                .opt_uint("parent", *parent)
-                .string("name", name)
-                .opt_string("detail", detail.as_deref()),
-            FrameKind::SpanClose { span, status } => line
-                .ev("span_close")
-                .uint("span", *span)
-                .string("status", status),
-        }
-        .close();
-    }
-
-    /// Parses one canonical JSONL trace line back into a frame.
+    /// Parses one canonical JSONL trace line into a frame.
     ///
-    /// Canonicality is *verified*, not assumed: the parsed frame is
-    /// re-rendered and must reproduce `line` byte for byte. A line with
+    /// Canonicality is *verified*, not assumed: the encoded payload is
+    /// rendered back and must reproduce `line` byte for byte. A line with
     /// reordered keys, extra fields, or a non-canonical number spelling
     /// (`1e3`, `7.0`) is rejected — silently normalizing it would make
     /// `convert` round trips lossy.
     pub fn from_jsonl(line: &str) -> Result<Frame, String> {
-        let fields = json::scan_fields(line, &FRAME_KEYS).map_err(|e| e.to_string())?;
-        let frame = Frame::from_fields(&fields)?;
+        let payload = encode_line(line)?;
         let mut rendered = String::with_capacity(line.len());
-        frame.render_jsonl(&mut rendered);
+        render_payload(&payload, &mut rendered)?;
         if rendered != line {
             return Err(format!(
                 "non-canonical trace line: parsed frame re-renders as {rendered:?}"
             ));
         }
-        Ok(frame)
+        Ok(Frame {
+            line: rendered,
+            payload,
+        })
     }
 
-    fn from_fields(fields: &Fields<'_, { FRAME_KEYS.len() }>) -> Result<Frame, String> {
-        let str_field = |key: &str| {
-            fields
-                .get(key)
-                .and_then(Scalar::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string {key:?} field"))
-        };
-        let u64_field = |key: &str| {
-            fields
-                .get(key)
+    /// The canonical JSONL line (no trailing newline).
+    pub fn line(&self) -> &str {
+        &self.line
+    }
+
+    /// Appends the canonical JSONL line (no trailing newline) to `out`.
+    pub fn render_jsonl(&self, out: &mut String) {
+        out.push_str(&self.line);
+    }
+}
+
+/// Encodes the members of a JSONL line that its `ev` row names. Members
+/// the row does not name are left to [`Frame::from_jsonl`]'s re-render
+/// check, and so is the device-id range.
+fn encode_line(line: &str) -> Result<Vec<u8>, String> {
+    let fields = json::scan_fields(line, &FRAME_KEYS).map_err(|e| e.to_string())?;
+    let t = fields
+        .get("t")
+        .and_then(Scalar::as_u64)
+        .ok_or_else(|| "missing integer \"t\" field".to_owned())?;
+    let ev = fields
+        .get("ev")
+        .and_then(Scalar::as_str)
+        .ok_or_else(|| "missing string \"ev\" field".to_owned())?;
+    let tag = SCHEMA
+        .iter()
+        .position(|(name, _)| *name == ev)
+        .ok_or_else(|| format!("unknown event kind {ev:?}"))?;
+    let mut out = Vec::with_capacity(line.len());
+    out.extend([tag as u8, 0]);
+    put_varint(&mut out, t);
+    let mut flags = 0;
+    if let Some(dev) = fields.get("dev").and_then(Scalar::as_u64) {
+        flags |= FLAG_DEV;
+        put_varint(&mut out, dev);
+    }
+    for (key, ty, bit) in members(tag) {
+        let value = fields.get(key);
+        let present = match ty {
+            U64 | OptU64 => value
                 .and_then(Scalar::as_u64)
-                .ok_or_else(|| format!("missing integer {key:?} field"))
-        };
-        let bool_field = |key: &str| {
-            fields
-                .get(key)
+                .map(|n| put_varint(&mut out, n)),
+            Bool => value
                 .and_then(Scalar::as_bool)
-                .ok_or_else(|| format!("missing boolean {key:?} field"))
-        };
-        let t = u64_field("t")?;
-        let dev = match fields.get("dev").and_then(Scalar::as_u64) {
-            Some(d) => Some(
-                u32::try_from(d)
-                    .map_err(|_| format!("\"dev\" value {d} exceeds the u32 device-id range"))?,
-            ),
-            None => None,
-        };
-        let ev = fields
-            .get("ev")
-            .and_then(Scalar::as_str)
-            .ok_or_else(|| "missing string \"ev\" field".to_owned())?;
-        let kind = match ev {
-            "dispatch" => FrameKind::Dispatch {
-                seq: u64_field("seq")?,
-                kind: str_field("kind")?,
-            },
-            "page_start" => FrameKind::PageStart {
-                target: str_field("target")?,
-            },
-            "page_connect" => FrameKind::PageConnect {
-                target: str_field("target")?,
-                responder: u64_field("responder")?,
-                latency_us: u64_field("latency_us")?,
-                raced: bool_field("raced")?,
-            },
-            "page_timeout" => FrameKind::PageTimeout {
-                target: str_field("target")?,
-            },
-            "race" => FrameKind::Race {
-                target: str_field("target")?,
-                attacker_won: bool_field("attacker_won")?,
-            },
-            "scan" => FrameKind::Scan {
-                page_scan: bool_field("page_scan")?,
-                inquiry_scan: bool_field("inquiry_scan")?,
-            },
-            "lmp_send" => FrameKind::LmpSend {
-                peer: str_field("peer")?,
-                pdu: str_field("pdu")?,
-            },
-            "lmp_recv" => FrameKind::LmpRecv {
-                peer: str_field("peer")?,
-                pdu: str_field("pdu")?,
-            },
-            "lmp_timeout" => FrameKind::LmpTimeout {
-                peer: str_field("peer")?,
-            },
-            "hci" => FrameKind::Hci {
-                dir: str_field("dir")?,
-                kind: str_field("kind")?,
-                name: str_field("name")?,
-            },
-            "link_drop" => FrameKind::LinkDrop {
-                reason: str_field("reason")?,
-            },
-            "keystore" => FrameKind::Keystore {
-                peer: str_field("peer")?,
-                action: str_field("action")?,
-            },
-            "attack_phase" => FrameKind::AttackPhase {
-                label: str_field("label")?,
-            },
-            "warning" => FrameKind::Warning {
-                message: str_field("message")?,
-            },
-            "unit_start" => FrameKind::UnitStart {
-                unit: u64_field("unit")?,
-                label: str_field("label")?,
-            },
-            "span_open" => FrameKind::SpanOpen {
-                span: u64_field("span")?,
-                parent: fields.get("parent").and_then(Scalar::as_u64),
-                name: str_field("name")?,
-                detail: fields
-                    .get("detail")
-                    .and_then(Scalar::as_str)
-                    .map(str::to_owned),
-            },
-            "span_close" => FrameKind::SpanClose {
-                span: u64_field("span")?,
-                status: str_field("status")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(Frame { t, dev, kind })
+                .map(|b| out.push(u8::from(b))),
+            Str | OptStr => value
+                .and_then(Scalar::as_str)
+                .map(|s| put_string(&mut out, s)),
+        }
+        .is_some();
+        if present {
+            flags |= bit;
+        } else if bit == 0 {
+            return Err(format!("missing {} {key:?} field", ty.noun()));
+        }
     }
+    out[1] = flags;
+    Ok(out)
+}
 
-    /// Encodes the frame's payload (everything after the length prefix).
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        let (tag, parent, detail): (u8, Option<u64>, Option<&str>) = match &self.kind {
-            FrameKind::Dispatch { .. } => (0, None, None),
-            FrameKind::PageStart { .. } => (1, None, None),
-            FrameKind::PageConnect { .. } => (2, None, None),
-            FrameKind::PageTimeout { .. } => (3, None, None),
-            FrameKind::Race { .. } => (4, None, None),
-            FrameKind::Scan { .. } => (5, None, None),
-            FrameKind::LmpSend { .. } => (6, None, None),
-            FrameKind::LmpRecv { .. } => (7, None, None),
-            FrameKind::LmpTimeout { .. } => (8, None, None),
-            FrameKind::Hci { .. } => (9, None, None),
-            FrameKind::LinkDrop { .. } => (10, None, None),
-            FrameKind::Keystore { .. } => (11, None, None),
-            FrameKind::AttackPhase { .. } => (12, None, None),
-            FrameKind::Warning { .. } => (13, None, None),
-            FrameKind::UnitStart { .. } => (14, None, None),
-            FrameKind::SpanOpen { parent, detail, .. } => (15, *parent, detail.as_deref()),
-            FrameKind::SpanClose { .. } => (16, None, None),
-        };
-        out.push(tag);
-        let mut flags = 0u8;
-        if self.dev.is_some() {
-            flags |= FLAG_DEV;
-        }
-        if parent.is_some() {
-            flags |= FLAG_PARENT;
-        }
-        if detail.is_some() {
-            flags |= FLAG_DETAIL;
-        }
-        out.push(flags);
-        put_varint(out, self.t);
-        if let Some(dev) = self.dev {
-            put_varint(out, u64::from(dev));
-        }
-        match &self.kind {
-            FrameKind::Dispatch { seq, kind } => {
-                put_varint(out, *seq);
-                put_string(out, kind);
-            }
-            FrameKind::PageStart { target } => put_string(out, target),
-            FrameKind::PageConnect {
-                target,
-                responder,
-                latency_us,
-                raced,
-            } => {
-                put_string(out, target);
-                put_varint(out, *responder);
-                put_varint(out, *latency_us);
-                out.push(u8::from(*raced));
-            }
-            FrameKind::PageTimeout { target } => put_string(out, target),
-            FrameKind::Race {
-                target,
-                attacker_won,
-            } => {
-                put_string(out, target);
-                out.push(u8::from(*attacker_won));
-            }
-            FrameKind::Scan {
-                page_scan,
-                inquiry_scan,
-            } => {
-                out.push(u8::from(*page_scan));
-                out.push(u8::from(*inquiry_scan));
-            }
-            FrameKind::LmpSend { peer, pdu } | FrameKind::LmpRecv { peer, pdu } => {
-                put_string(out, peer);
-                put_string(out, pdu);
-            }
-            FrameKind::LmpTimeout { peer } => put_string(out, peer),
-            FrameKind::Hci { dir, kind, name } => {
-                put_string(out, dir);
-                put_string(out, kind);
-                put_string(out, name);
-            }
-            FrameKind::LinkDrop { reason } => put_string(out, reason),
-            FrameKind::Keystore { peer, action } => {
-                put_string(out, peer);
-                put_string(out, action);
-            }
-            FrameKind::AttackPhase { label } => put_string(out, label),
-            FrameKind::Warning { message } => put_string(out, message),
-            FrameKind::UnitStart { unit, label } => {
-                put_varint(out, *unit);
-                put_string(out, label);
-            }
-            FrameKind::SpanOpen {
-                span,
-                parent,
-                name,
-                detail,
-            } => {
-                put_varint(out, *span);
-                if let Some(parent) = parent {
-                    put_varint(out, *parent);
-                }
-                put_string(out, name);
-                if let Some(detail) = detail {
-                    put_string(out, detail);
-                }
-            }
-            FrameKind::SpanClose { span, status } => {
-                put_varint(out, *span);
-                put_string(out, status);
-            }
-        }
+/// Renders one payload as its JSONL line into `out`. The whole payload
+/// must be consumed: trailing bytes are an error.
+fn render_payload(payload: &[u8], out: &mut String) -> Result<(), String> {
+    let mut cur = Cursor {
+        buf: payload,
+        pos: 0,
+    };
+    let tag = cur.u8("tag")?;
+    let &(ev, _) = SCHEMA
+        .get(usize::from(tag))
+        .ok_or_else(|| format!("unknown frame tag {tag}"))?;
+    let flags = cur.u8("flags")?;
+    let known_flags = members(tag.into()).fold(FLAG_DEV, |known, (_, _, bit)| known | bit);
+    if flags & !known_flags != 0 {
+        return Err(format!("unknown flag bits {flags:#04x} for tag {tag}"));
     }
-
-    /// Decodes one payload (everything after the length prefix). The
-    /// whole payload must be consumed: trailing bytes are an error.
-    fn decode_payload(payload: &[u8]) -> Result<Frame, String> {
-        let mut cur = Cursor {
-            buf: payload,
-            pos: 0,
-        };
-        let tag = cur.u8("tag")?;
-        let flags = cur.u8("flags")?;
-        let known_flags = FLAG_DEV
-            | if tag == 15 {
-                FLAG_PARENT | FLAG_DETAIL
-            } else {
-                0
-            };
-        if flags & !known_flags != 0 {
-            return Err(format!("unknown flag bits {:#04x} for tag {tag}", flags));
+    let t = cur.varint("t")?;
+    let dev = if flags & FLAG_DEV != 0 {
+        let d = cur.varint("dev")?;
+        Some(
+            u32::try_from(d)
+                .map_err(|_| format!("\"dev\" value {d} exceeds the u32 device-id range"))?,
+        )
+    } else {
+        None
+    };
+    let mut line = LineWriter::open(out, t, dev).ev(ev);
+    for (key, ty, bit) in members(tag.into()) {
+        if flags & bit != bit {
+            continue;
         }
-        let t = cur.varint("t")?;
-        let dev = if flags & FLAG_DEV != 0 {
-            let d = cur.varint("dev")?;
-            Some(
-                u32::try_from(d)
-                    .map_err(|_| format!("\"dev\" value {d} exceeds the u32 device-id range"))?,
-            )
-        } else {
-            None
+        line = match ty {
+            U64 | OptU64 => line.uint(key, cur.varint(key)?),
+            Bool => line.boolean(key, cur.bool(key)?),
+            Str | OptStr => line.string(key, cur.str(key)?),
         };
-        let kind = match tag {
-            0 => FrameKind::Dispatch {
-                seq: cur.varint("seq")?,
-                kind: cur.string("kind")?,
-            },
-            1 => FrameKind::PageStart {
-                target: cur.string("target")?,
-            },
-            2 => FrameKind::PageConnect {
-                target: cur.string("target")?,
-                responder: cur.varint("responder")?,
-                latency_us: cur.varint("latency_us")?,
-                raced: cur.bool("raced")?,
-            },
-            3 => FrameKind::PageTimeout {
-                target: cur.string("target")?,
-            },
-            4 => FrameKind::Race {
-                target: cur.string("target")?,
-                attacker_won: cur.bool("attacker_won")?,
-            },
-            5 => FrameKind::Scan {
-                page_scan: cur.bool("page_scan")?,
-                inquiry_scan: cur.bool("inquiry_scan")?,
-            },
-            6 => FrameKind::LmpSend {
-                peer: cur.string("peer")?,
-                pdu: cur.string("pdu")?,
-            },
-            7 => FrameKind::LmpRecv {
-                peer: cur.string("peer")?,
-                pdu: cur.string("pdu")?,
-            },
-            8 => FrameKind::LmpTimeout {
-                peer: cur.string("peer")?,
-            },
-            9 => FrameKind::Hci {
-                dir: cur.string("dir")?,
-                kind: cur.string("kind")?,
-                name: cur.string("name")?,
-            },
-            10 => FrameKind::LinkDrop {
-                reason: cur.string("reason")?,
-            },
-            11 => FrameKind::Keystore {
-                peer: cur.string("peer")?,
-                action: cur.string("action")?,
-            },
-            12 => FrameKind::AttackPhase {
-                label: cur.string("label")?,
-            },
-            13 => FrameKind::Warning {
-                message: cur.string("message")?,
-            },
-            14 => FrameKind::UnitStart {
-                unit: cur.varint("unit")?,
-                label: cur.string("label")?,
-            },
-            15 => {
-                let span = cur.varint("span")?;
-                let parent = if flags & FLAG_PARENT != 0 {
-                    Some(cur.varint("parent")?)
-                } else {
-                    None
-                };
-                let name = cur.string("name")?;
-                let detail = if flags & FLAG_DETAIL != 0 {
-                    Some(cur.string("detail")?)
-                } else {
-                    None
-                };
-                FrameKind::SpanOpen {
-                    span,
-                    parent,
-                    name,
-                    detail,
-                }
-            }
-            16 => FrameKind::SpanClose {
-                span: cur.varint("span")?,
-                status: cur.string("status")?,
-            },
-            other => return Err(format!("unknown frame tag {other}")),
-        };
-        if cur.pos != payload.len() {
-            return Err(format!(
-                "{} trailing byte(s) after a complete frame payload",
-                payload.len() - cur.pos
-            ));
-        }
-        Ok(Frame { t, dev, kind })
     }
+    line.close();
+    if cur.pos != payload.len() {
+        return Err(format!(
+            "{} trailing byte(s) after a complete frame payload",
+            payload.len() - cur.pos
+        ));
+    }
+    Ok(())
 }
 
 /// LEB128 unsigned varint append.
@@ -768,7 +358,7 @@ struct Cursor<'a> {
     pos: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn u8(&mut self, what: &str) -> Result<u8, String> {
         let byte = *self
             .buf
@@ -802,7 +392,7 @@ impl Cursor<'_> {
         Err(format!("varint {what} runs past 10 bytes"))
     }
 
-    fn string(&mut self, what: &str) -> Result<String, String> {
+    fn str(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.varint(what)?;
         let len = usize::try_from(len)
             .ok()
@@ -810,7 +400,7 @@ impl Cursor<'_> {
             .ok_or_else(|| format!("string {what} length {len} exceeds the payload"))?;
         let bytes = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("string {what} is not valid UTF-8"))
+        std::str::from_utf8(bytes).map_err(|_| format!("string {what} is not valid UTF-8"))
     }
 }
 
@@ -818,7 +408,8 @@ impl Cursor<'_> {
 /// prefixed frame per [`FrameWriter::write_frame`] call.
 pub struct FrameWriter<W: Write> {
     inner: W,
-    scratch: Vec<u8>,
+    /// The length prefix of the frame being written.
+    prefix: Vec<u8>,
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -827,18 +418,16 @@ impl<W: Write> FrameWriter<W> {
         inner.write_all(&MAGIC)?;
         Ok(FrameWriter {
             inner,
-            scratch: Vec::with_capacity(128),
+            prefix: Vec::with_capacity(10),
         })
     }
 
     /// Appends one frame.
     pub fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        self.scratch.clear();
-        frame.encode_payload(&mut self.scratch);
-        let mut prefix = Vec::with_capacity(4);
-        put_varint(&mut prefix, self.scratch.len() as u64);
-        self.inner.write_all(&prefix)?;
-        self.inner.write_all(&self.scratch)
+        self.prefix.clear();
+        put_varint(&mut self.prefix, frame.payload.len() as u64);
+        self.inner.write_all(&self.prefix)?;
+        self.inner.write_all(&frame.payload)
     }
 
     /// Flushes and returns the underlying writer.
@@ -860,6 +449,8 @@ pub struct FrameReader<R: Read> {
     /// The payload buffer every frame is read into, grown to the largest
     /// payload seen (at most [`MAX_PAYLOAD`] bytes) and then reused.
     payload: Vec<u8>,
+    /// The buffer every payload is rendered into, reused the same way.
+    line: String,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -885,10 +476,12 @@ impl<R: Read> FrameReader<R> {
             inner,
             frame_no: 0,
             payload: Vec::new(),
+            line: String::new(),
         })
     }
 
-    /// Reads the next frame; `Ok(None)` on a clean end of stream.
+    /// Reads and renders the next frame; `Ok(None)` on a clean end of
+    /// stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, CodecError> {
         let err = |message: String| CodecError {
             frame: self.frame_no,
@@ -942,9 +535,13 @@ impl<R: Read> FrameReader<R> {
             )),
             None => err("read error inside a frame payload".to_owned()),
         })?;
-        let frame = Frame::decode_payload(&self.payload).map_err(err)?;
+        self.line.clear();
+        render_payload(&self.payload, &mut self.line).map_err(err)?;
         self.frame_no += 1;
-        Ok(Some(frame))
+        Ok(Some(Frame {
+            line: self.line.clone(),
+            payload: self.payload.clone(),
+        }))
     }
 }
 
@@ -963,50 +560,12 @@ fn read_full<R: Read>(inner: &mut R, buf: &mut [u8]) -> Result<(), Option<usize>
     Ok(())
 }
 
-/// An in-memory binary-trace [`TraceSink`] — the [`MAGIC`]-stamped
-/// counterpart of [`crate::trace::JsonlBuffer`]. Clone it before
-/// attaching to keep a handle for [`BinaryBuffer::contents`].
-#[derive(Clone)]
-pub struct BinaryBuffer {
-    inner: Arc<Mutex<Vec<u8>>>,
-}
-
-impl BinaryBuffer {
-    /// A fresh buffer holding just the stream magic.
-    pub fn new() -> BinaryBuffer {
-        BinaryBuffer {
-            inner: Arc::new(Mutex::new(MAGIC.to_vec())),
-        }
-    }
-
-    /// A copy of the accumulated stream (magic included) — a complete
-    /// binary trace artifact.
-    pub fn contents(&self) -> Vec<u8> {
-        self.inner.lock().expect("binary buffer lock").clone()
-    }
-}
-
-impl Default for BinaryBuffer {
-    fn default() -> BinaryBuffer {
-        BinaryBuffer::new()
-    }
-}
-
-impl TraceSink for BinaryBuffer {
-    fn record(&mut self, device: Option<u32>, event: &TraceEvent) {
-        let frame = Frame::from_event(device, event);
-        let mut payload = Vec::with_capacity(64);
-        frame.encode_payload(&mut payload);
-        let mut buf = self.inner.lock().expect("binary buffer lock");
-        put_varint(&mut buf, payload.len() as u64);
-        buf.extend_from_slice(&payload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blap_types::Instant;
+    use crate::span::SpanId;
+    use crate::trace::TraceEvent;
+    use blap_types::{BdAddr, Instant};
 
     fn sample_frames() -> Vec<Frame> {
         let lines = [
@@ -1036,14 +595,26 @@ mod tests {
             .collect()
     }
 
+    fn write_stream(frames: &[Frame]) -> Vec<u8> {
+        let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
+        for frame in frames {
+            writer.write_frame(frame).expect("vec write");
+        }
+        writer.finish().expect("vec flush")
+    }
+
+    /// Reads the one frame of a stream holding just `payload`.
+    fn read_payload(payload: &[u8]) -> Result<Option<Frame>, CodecError> {
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+        FrameReader::new(&bytes[..]).expect("magic").next_frame()
+    }
+
     #[test]
     fn every_kind_round_trips_binary_and_jsonl() {
         let frames = sample_frames();
-        let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
-        for frame in &frames {
-            writer.write_frame(frame).expect("vec write");
-        }
-        let bytes = writer.finish().expect("vec flush");
+        let bytes = write_stream(&frames);
         assert!(is_binary(&bytes));
         let mut reader = FrameReader::new(&bytes[..]).expect("magic");
         let mut decoded = Vec::new();
@@ -1051,39 +622,145 @@ mod tests {
             decoded.push(frame);
         }
         assert_eq!(decoded, frames);
-        // And each decoded frame re-renders to the original line bytes.
+        // And each decoded line parses back to the same frame.
         for frame in &decoded {
-            let mut line = String::new();
-            frame.render_jsonl(&mut line);
-            assert_eq!(Frame::from_jsonl(&line).expect("canonical"), *frame);
+            assert_eq!(Frame::from_jsonl(frame.line()).expect("canonical"), *frame);
         }
     }
 
     #[test]
-    fn binary_buffer_sink_matches_frame_writer() {
-        let tracer = crate::trace::Tracer::new();
-        let jsonl = crate::trace::JsonlBuffer::new();
-        let bin = BinaryBuffer::new();
-        tracer.attach(jsonl.clone());
-        tracer.attach(bin.clone());
-        tracer.emit(TraceEvent::AttackPhase {
-            time: Instant::from_micros(40),
-            label: "ploc_hold",
-        });
-        let scoped = tracer.scoped(3);
-        scoped.emit(TraceEvent::LinkDropped {
-            time: Instant::from_micros(99),
-            reason: "detach",
-        });
-        // Decoding the binary buffer reproduces the JSONL buffer exactly.
-        let bytes = bin.contents();
-        let mut reader = FrameReader::new(&bytes[..]).expect("magic");
-        let mut rebuilt = String::new();
-        while let Some(frame) = reader.next_frame().expect("well-formed") {
-            frame.render_jsonl(&mut rebuilt);
-            rebuilt.push('\n');
+    fn every_trace_event_variant_survives_the_binary_form() {
+        let addr = BdAddr::new([0x00, 0x1b, 0x7d, 0xda, 0x71, 0x0a]);
+        let at = Instant::from_micros;
+        let events = [
+            TraceEvent::SchedulerDispatch {
+                time: at(1),
+                seq: 7,
+                kind: "PageScan",
+            },
+            TraceEvent::PageStarted {
+                time: at(2),
+                target: addr,
+            },
+            TraceEvent::PageConnected {
+                time: at(3),
+                target: addr,
+                responder: u32::MAX,
+                latency_us: 1250,
+                raced: true,
+            },
+            TraceEvent::PageTimeout {
+                time: at(4),
+                target: addr,
+            },
+            TraceEvent::RaceOutcome {
+                time: at(5),
+                target: addr,
+                attacker_won: false,
+            },
+            TraceEvent::ScanTransition {
+                time: at(6),
+                page_scan: true,
+                inquiry_scan: false,
+            },
+            TraceEvent::LmpSend {
+                time: at(7),
+                peer: addr,
+                pdu: "LMP_au_rand",
+            },
+            TraceEvent::LmpRecv {
+                time: at(8),
+                peer: addr,
+                pdu: "LMP_sres",
+            },
+            TraceEvent::LmpTimeout {
+                time: at(9),
+                peer: addr,
+            },
+            TraceEvent::HciSeam {
+                time: at(10),
+                direction: "sent",
+                kind: "command",
+                name: "HCI_Create_Connection",
+            },
+            TraceEvent::LinkDropped {
+                time: at(11),
+                reason: "detach",
+            },
+            TraceEvent::KeystoreMutation {
+                time: at(12),
+                peer: addr,
+                action: "install",
+            },
+            TraceEvent::AttackPhase {
+                time: at(13),
+                label: "ploc_hold",
+            },
+            TraceEvent::Warning {
+                time: at(14),
+                message: "quote \" and\nnewline".to_owned(),
+            },
+            TraceEvent::UnitStart {
+                unit: 3,
+                label: "blocking",
+            },
+            TraceEvent::SpanOpen {
+                time: at(15),
+                span: SpanId::from_raw(2),
+                parent: SpanId::from_raw(1),
+                name: "page",
+                detail: "00:1b:7d:da:71:0a".to_owned(),
+            },
+            TraceEvent::SpanOpen {
+                time: at(16),
+                span: SpanId::from_raw(1),
+                parent: SpanId::NONE,
+                name: "trial",
+                detail: String::new(),
+            },
+            TraceEvent::SpanClose {
+                time: at(u64::MAX),
+                span: SpanId::from_raw(1),
+                status: "done",
+            },
+        ];
+        let mut lines = Vec::new();
+        for event in &events {
+            for dev in [None, Some(3)] {
+                let mut line = String::new();
+                event.render_jsonl(dev, &mut line);
+                lines.push(line);
+            }
         }
-        assert_eq!(rebuilt, jsonl.contents());
+        let frames: Vec<Frame> = lines
+            .iter()
+            .map(|line| Frame::from_jsonl(line).expect(line))
+            .collect();
+        let bytes = write_stream(&frames);
+        let mut reader = FrameReader::new(&bytes[..]).expect("magic");
+        for line in &lines {
+            let frame = reader.next_frame().expect("well-formed").expect("a frame");
+            assert_eq!(frame.line(), line);
+        }
+        assert!(reader.next_frame().expect("clean end").is_none());
+        // Every schema row was exercised.
+        for (ev, _) in SCHEMA {
+            let ev = format!("\"ev\":\"{ev}\"");
+            assert!(lines.iter().any(|line| line.contains(&ev)), "no {ev} line");
+        }
+    }
+
+    #[test]
+    fn frame_keys_are_t_dev_ev_and_the_schema_keys() {
+        let mut keys = vec!["t", "dev", "ev"];
+        for (_, members) in SCHEMA {
+            for &(key, _) in members {
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+        }
+        assert_eq!(keys, FRAME_KEYS);
     }
 
     #[test]
@@ -1117,11 +794,7 @@ mod tests {
 
     #[test]
     fn reader_reuses_its_payload_buffer() {
-        let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
-        for frame in sample_frames() {
-            writer.write_frame(&frame).expect("vec write");
-        }
-        let bytes = writer.finish().expect("vec flush");
+        let bytes = write_stream(&sample_frames());
         let mut reader = FrameReader::new(&bytes[..]).expect("magic");
         let mut largest = 0;
         while reader.next_frame().expect("well-formed").is_some() {
@@ -1136,11 +809,7 @@ mod tests {
 
     #[test]
     fn torn_streams_error_instead_of_truncating() {
-        let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
-        for frame in sample_frames() {
-            writer.write_frame(&frame).expect("vec write");
-        }
-        let bytes = writer.finish().expect("vec flush");
+        let bytes = write_stream(&sample_frames());
         // Chopping anywhere strictly inside the stream must yield an error
         // (never a clean end, never a panic) — except exactly at frame
         // boundaries, where the stream is validly shorter.
@@ -1175,22 +844,50 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let frame = Frame {
-            t: 7,
-            dev: None,
-            kind: FrameKind::AttackPhase {
-                label: "x".to_owned(),
-            },
-        };
-        let mut payload = Vec::new();
-        frame.encode_payload(&mut payload);
+        let frame = Frame::from_jsonl("{\"t\":7,\"ev\":\"attack_phase\",\"label\":\"x\"}")
+            .expect("canonical");
+        let mut payload = frame.payload.clone();
         payload.push(0); // one stray byte inside the declared length
-        let mut bytes = MAGIC.to_vec();
-        put_varint(&mut bytes, payload.len() as u64);
-        bytes.extend_from_slice(&payload);
-        let mut reader = FrameReader::new(&bytes[..]).expect("magic");
-        let err = reader.next_frame().expect_err("stray byte must error");
+        let err = read_payload(&payload).expect_err("stray byte must error");
         assert!(err.message.contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn payloads_outside_the_schema_are_rejected() {
+        // Tag 12 is `attack_phase` (no optional members), 15 `span_open`
+        // (optional `parent` and `detail` on bits 1 and 2).
+        let cases: [(&[u8], &str); 9] = [
+            (&[17, 0, 0], "unknown frame tag 17"),
+            (&[255, 0, 0], "unknown frame tag 255"),
+            (&[12, 0b010, 0, 1, b'x'], "unknown flag bits"),
+            (&[15, 0b1000, 0, 1, 1, b'x'], "unknown flag bits"),
+            (&[5, 0, 0, 1, 2], "want 0 or 1"),
+            (&[12, 0, 0, 2, b'x'], "exceeds the payload"),
+            (&[12, 0, 0, 1, 0xff], "not valid UTF-8"),
+            (
+                &[
+                    12, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+                ],
+                "overflows u64",
+            ),
+            (
+                &[12, FLAG_DEV, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 1, b'x'],
+                "exceeds the u32 device-id range",
+            ),
+        ];
+        for (payload, want) in cases {
+            let err = read_payload(payload).expect_err(want);
+            assert!(err.message.contains(want), "{payload:02x?}: {err}");
+        }
+        // The same shapes within the schema decode.
+        let ok: [&[u8]; 3] = [
+            &[12, 0, 0, 1, b'x'],
+            &[15, 0b110, 0, 2, 1, 4, b'p', b'a', b'g', b'e', 0],
+            &[12, FLAG_DEV, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, b'x'],
+        ];
+        for payload in ok {
+            read_payload(payload).expect("in-schema payload");
+        }
     }
 
     #[test]

@@ -42,9 +42,11 @@
 //!   retires segments as their boundaries arrive, and (via
 //!   [`stream::StreamSink`] + [`stream::ViolationSummary`]) lets the
 //!   campaign engine check invariants live while trials execute.
-//! * [`binfmt`] — the compact length-prefixed binary trace encoding and
-//!   its streaming reader/writer; `blap-trace convert` round-trips it
-//!   against JSONL byte-deterministically.
+//! * [`binfmt`] — the compact length-prefixed binary trace encoding,
+//!   driven by one schema table, and its streaming reader/writer; a
+//!   [`binfmt::Frame`] is a canonical JSONL line plus its payload, so
+//!   `blap-trace convert` round-trips it against JSONL
+//!   byte-deterministically.
 //! * [`diff`] — structural comparison of two trace/metrics artifacts, the
 //!   CI gate that replaced ad-hoc byte diffs.
 //! * [`json`] — the shared escaper and integer writer every renderer
@@ -85,7 +87,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use analyze::{analyze_trace, PhaseProfile, TraceAnalysis, Violation};
-pub use binfmt::{BinaryBuffer, CodecError, Frame, FrameReader, FrameWriter};
+pub use binfmt::{CodecError, Frame, FrameReader, FrameWriter};
 pub use diff::{diff_metrics, diff_traces, flatten_json, DiffReport, TraceDiff};
 pub use metrics::{export_json, Histogram, MetaValue, Metrics};
 pub use span::SpanId;

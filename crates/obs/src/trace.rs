@@ -293,10 +293,10 @@ impl TraceEvent {
 
 /// Writes one JSONL trace line without `fmt`: the fixed head
 /// `{"t":…[,"dev":…]` on [`LineWriter::open`], then `"ev"` and one member
-/// per call, and the closing `}` on [`LineWriter::close`]. Both
-/// renderers — [`TraceEvent::render_jsonl`] and
-/// [`crate::binfmt::Frame::render_jsonl`] — write through it, so their
-/// bytes cannot drift apart.
+/// per call, and the closing `}` on [`LineWriter::close`]. Both writers
+/// of trace lines — [`TraceEvent::render_jsonl`] and the BLAPTRC1
+/// payload renderer in [`crate::binfmt`] — go through it, so their bytes
+/// cannot drift apart.
 pub(crate) struct LineWriter<'a>(&'a mut String);
 
 impl<'a> LineWriter<'a> {

@@ -1,33 +1,37 @@
 //! Binary ⇄ JSONL trace codec round-trip properties, plus the committed
 //! byte-exact fixture pair.
 //!
-//! The binary encoding and the JSONL renderer are two independent
-//! serializations of the same [`Frame`] model; `blap-trace convert`
-//! promises the round trip is byte-deterministic in both directions. The
-//! properties here generate frames with hostile strings (quotes,
-//! backslashes, control characters, non-ASCII) and extreme numeric
-//! ranges (`u64::MAX` timestamps, max device ids) and pin:
+//! One schema table drives both directions of the BLAPTRC1 codec, while
+//! the lines it must reproduce come from [`TraceEvent::render_jsonl`].
+//! The properties here generate live events on all 17 variants — hostile
+//! labels (quotes, backslashes, control characters, non-ASCII) leaked
+//! into every `&'static str` slot, hostile messages and span details,
+//! random addresses, `u64::MAX` times and span ids, every device id —
+//! render them, and pin:
 //!
-//! * binary: encode → decode returns the identical frame;
-//! * JSONL: render → parse returns the identical frame;
+//! * binary: write → read returns the identical frames;
+//! * JSONL: every rendered line parses to a frame carrying that line;
 //! * the full convert cycle JSONL → binary → JSONL is byte-identical.
 //!
-//! The committed fixture pair (`fixtures/trace_small.jsonl` / `.bin`)
-//! pins the *encoding itself*: a codec change that silently reshapes
-//! bytes fails here even if it round-trips. Regenerate deliberately with
+//! Hand-written lines pin what `convert` accepts beyond what the tracer
+//! emits, and what it refuses. The committed fixture pair
+//! (`fixtures/trace_small.jsonl` / `.bin`) pins the *encoding itself*: a
+//! codec change that silently reshapes bytes fails here even if it
+//! round-trips. Regenerate deliberately with
 //! `BLAP_REGEN_FIXTURES=1 cargo test -p blap-obs --test binfmt_roundtrip`.
 
 use std::io::Read;
 use std::path::Path;
 
-use blap_obs::binfmt::FrameKind;
-use blap_obs::{Frame, FrameReader, FrameWriter};
+use blap_obs::trace::TraceEvent;
+use blap_obs::{Frame, FrameReader, FrameWriter, SpanId};
+use blap_types::{BdAddr, Instant};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Strings that stress both codecs: every JSON escape class, UTF-8
 /// multibyte, and plain identifier-ish names.
-fn label() -> impl Strategy<Value = String> {
+fn text() -> impl Strategy<Value = String> {
     prop_oneof![
         "[a-zA-Z0-9_.:]{1,16}".prop_map(|s| s),
         Just(String::new()),
@@ -37,12 +41,18 @@ fn label() -> impl Strategy<Value = String> {
         Just("ctrl\u{1}\u{1f}char".to_owned()),
         Just("snowman ☃ naïve — em".to_owned()),
         Just("\"\\\"".to_owned()),
+        Just("pdu\",\"ev\":\"forged".to_owned()),
     ]
 }
 
-/// Timestamps biased toward the edges: zero, small, and `u64::MAX`
-/// (varint encoding uses all ten bytes there).
-fn timestamp() -> impl Strategy<Value = u64> {
+/// A [`text`] leaked into a `&'static str` label slot.
+fn label() -> impl Strategy<Value = &'static str> {
+    text().prop_map(|s| &*Box::leak(s.into_boxed_str()))
+}
+
+/// Values biased toward the edges: zero, small, and `u64::MAX` (varint
+/// encoding uses all ten bytes there).
+fn big() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         0..10_000_000u64,
@@ -51,78 +61,131 @@ fn timestamp() -> impl Strategy<Value = u64> {
     ]
 }
 
+fn time() -> impl Strategy<Value = Instant> {
+    big().prop_map(Instant::from_micros)
+}
+
+fn span() -> impl Strategy<Value = SpanId> {
+    big().prop_map(SpanId::from_raw)
+}
+
+fn addr() -> impl Strategy<Value = BdAddr> {
+    any::<[u8; 6]>().prop_map(BdAddr::new)
+}
+
 fn device() -> impl Strategy<Value = Option<u32>> {
     prop_oneof![
         Just(None),
         Just(Some(0u32)),
         Just(Some(u32::MAX)),
-        (0..64u32).prop_map(Some),
+        any::<u32>().prop_map(Some),
     ]
 }
 
-/// All 17 frame kinds, with hostile strings in every string slot and
+/// All 17 event variants, with hostile text in every string slot and
 /// extreme values in every numeric one.
-fn kind() -> impl Strategy<Value = FrameKind> {
+fn event() -> impl Strategy<Value = TraceEvent> {
     prop_oneof![
-        (timestamp(), label()).prop_map(|(seq, kind)| FrameKind::Dispatch { seq, kind }),
-        label().prop_map(|target| FrameKind::PageStart { target }),
-        (label(), timestamp(), timestamp(), any::<bool>()).prop_map(
-            |(target, responder, latency_us, raced)| FrameKind::PageConnect {
+        (time(), big(), label()).prop_map(|(time, seq, kind)| TraceEvent::SchedulerDispatch {
+            time,
+            seq,
+            kind
+        }),
+        (time(), addr()).prop_map(|(time, target)| TraceEvent::PageStarted { time, target }),
+        (time(), addr(), any::<u32>(), big(), any::<bool>()).prop_map(
+            |(time, target, responder, latency_us, raced)| TraceEvent::PageConnected {
+                time,
                 target,
                 responder,
                 latency_us,
                 raced,
             }
         ),
-        label().prop_map(|target| FrameKind::PageTimeout { target }),
-        (label(), any::<bool>()).prop_map(|(target, attacker_won)| FrameKind::Race {
-            target,
-            attacker_won
+        (time(), addr()).prop_map(|(time, target)| TraceEvent::PageTimeout { time, target }),
+        (time(), addr(), any::<bool>()).prop_map(|(time, target, attacker_won)| {
+            TraceEvent::RaceOutcome {
+                time,
+                target,
+                attacker_won,
+            }
         }),
-        (any::<bool>(), any::<bool>()).prop_map(|(page_scan, inquiry_scan)| FrameKind::Scan {
-            page_scan,
-            inquiry_scan,
+        (time(), any::<bool>(), any::<bool>()).prop_map(|(time, page_scan, inquiry_scan)| {
+            TraceEvent::ScanTransition {
+                time,
+                page_scan,
+                inquiry_scan,
+            }
         }),
-        (label(), label()).prop_map(|(peer, pdu)| FrameKind::LmpSend { peer, pdu }),
-        (label(), label()).prop_map(|(peer, pdu)| FrameKind::LmpRecv { peer, pdu }),
-        label().prop_map(|peer| FrameKind::LmpTimeout { peer }),
-        (label(), label(), label()).prop_map(|(dir, kind, name)| FrameKind::Hci {
-            dir,
-            kind,
-            name
+        (time(), addr(), label()).prop_map(|(time, peer, pdu)| TraceEvent::LmpSend {
+            time,
+            peer,
+            pdu
         }),
-        label().prop_map(|reason| FrameKind::LinkDrop { reason }),
-        (label(), label()).prop_map(|(peer, action)| FrameKind::Keystore { peer, action }),
-        label().prop_map(|label| FrameKind::AttackPhase { label }),
-        label().prop_map(|message| FrameKind::Warning { message }),
-        (timestamp(), label()).prop_map(|(unit, label)| FrameKind::UnitStart { unit, label }),
-        (
-            timestamp(),
-            any::<bool>(),
-            timestamp(),
-            label(),
-            any::<bool>(),
-            label()
-        )
-            .prop_map(|(span, has_parent, parent, name, has_detail, detail)| {
-                FrameKind::SpanOpen {
-                    span,
-                    parent: has_parent.then_some(parent),
-                    name,
-                    // An empty detail renders identically to an absent
-                    // one, so keep generated details non-empty.
-                    detail: (has_detail && !detail.is_empty()).then_some(detail),
-                }
-            }),
-        (timestamp(), label()).prop_map(|(span, status)| FrameKind::SpanClose { span, status }),
+        (time(), addr(), label()).prop_map(|(time, peer, pdu)| TraceEvent::LmpRecv {
+            time,
+            peer,
+            pdu
+        }),
+        (time(), addr()).prop_map(|(time, peer)| TraceEvent::LmpTimeout { time, peer }),
+        (time(), label(), label(), label()).prop_map(|(time, direction, kind, name)| {
+            TraceEvent::HciSeam {
+                time,
+                direction,
+                kind,
+                name,
+            }
+        }),
+        (time(), label()).prop_map(|(time, reason)| TraceEvent::LinkDropped { time, reason }),
+        (time(), addr(), label()).prop_map(|(time, peer, action)| {
+            TraceEvent::KeystoreMutation { time, peer, action }
+        }),
+        (time(), label()).prop_map(|(time, label)| TraceEvent::AttackPhase { time, label }),
+        (time(), text()).prop_map(|(time, message)| TraceEvent::Warning { time, message }),
+        (big(), label()).prop_map(|(unit, label)| TraceEvent::UnitStart { unit, label }),
+        (time(), span(), span(), label(), text()).prop_map(|(time, span, parent, name, detail)| {
+            TraceEvent::SpanOpen {
+                time,
+                span,
+                parent,
+                name,
+                detail,
+            }
+        }),
+        (time(), span(), label()).prop_map(|(time, span, status)| TraceEvent::SpanClose {
+            time,
+            span,
+            status
+        }),
     ]
 }
 
-fn frame() -> impl Strategy<Value = Frame> {
-    (timestamp(), device(), kind()).prop_map(|(t, dev, kind)| Frame { t, dev, kind })
+/// A device-attributed event, as a tracer sink receives it.
+fn record() -> impl Strategy<Value = (Option<u32>, TraceEvent)> {
+    (device(), event())
 }
 
-/// Encodes frames to an in-memory binary stream.
+/// Renders records as a JSONL trace, one line each.
+fn render(records: &[(Option<u32>, TraceEvent)]) -> String {
+    let mut text = String::new();
+    for (dev, event) in records {
+        event.render_jsonl(*dev, &mut text);
+        text.push('\n');
+    }
+    text
+}
+
+/// Parses every line of a JSONL trace, which must be canonical.
+fn frames_of(jsonl: &str) -> Vec<Frame> {
+    jsonl
+        .lines()
+        .map(|line| {
+            Frame::from_jsonl(line)
+                .unwrap_or_else(|e| panic!("canonical line must parse: {e}\n{line}"))
+        })
+        .collect()
+}
+
+/// Writes frames to an in-memory binary stream.
 fn encode(frames: &[Frame]) -> Vec<u8> {
     let mut writer = FrameWriter::new(Vec::new()).expect("vec write");
     for frame in frames {
@@ -131,7 +194,7 @@ fn encode(frames: &[Frame]) -> Vec<u8> {
     writer.finish().expect("vec write")
 }
 
-/// Decodes every frame from a binary stream.
+/// Reads every frame of a binary stream.
 fn decode(bytes: &[u8]) -> Vec<Frame> {
     let mut reader = FrameReader::new(bytes).expect("valid magic");
     let mut frames = Vec::new();
@@ -141,7 +204,8 @@ fn decode(bytes: &[u8]) -> Vec<Frame> {
     frames
 }
 
-fn render(frames: &[Frame]) -> String {
+/// The JSONL trace the frames carry.
+fn lines_of(frames: &[Frame]) -> String {
     let mut text = String::new();
     for frame in frames {
         frame.render_jsonl(&mut text);
@@ -153,39 +217,81 @@ fn render(frames: &[Frame]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Binary encode → decode is the identity on frames, hostile strings
+    /// Binary write → read is the identity on frames, hostile strings
     /// and `u64::MAX` timestamps included.
     #[test]
-    fn binary_codec_is_identity(frames in vec(frame(), 0..12)) {
+    fn binary_codec_is_identity(records in vec(record(), 0..12)) {
+        let frames = frames_of(&render(&records));
         prop_assert_eq!(decode(&encode(&frames)), frames);
     }
 
-    /// JSONL render → parse is the identity on frames: every escape the
-    /// renderer emits, the parser must invert exactly.
+    /// Every line the live renderer emits parses to a frame carrying
+    /// exactly that line: every escape it writes, the codec inverts.
     #[test]
-    fn jsonl_codec_is_identity(frames in vec(frame(), 1..12)) {
-        for frame in &frames {
+    fn jsonl_codec_is_identity(records in vec(record(), 1..12)) {
+        for (dev, event) in &records {
             let mut line = String::new();
-            frame.render_jsonl(&mut line);
-            let back = Frame::from_jsonl(&line)
+            event.render_jsonl(*dev, &mut line);
+            let frame = Frame::from_jsonl(&line)
                 .unwrap_or_else(|e| panic!("own render must parse: {e}\n{line}"));
-            prop_assert_eq!(&back, frame);
+            prop_assert_eq!(frame.line(), line.as_str());
         }
     }
 
     /// The full `blap-trace convert` cycle — JSONL → binary → JSONL — is
     /// byte-identical, so converting there and back loses nothing.
     #[test]
-    fn convert_cycle_is_byte_identical(frames in vec(frame(), 0..12)) {
-        let jsonl = render(&frames);
-        // JSONL -> frames -> binary.
-        let parsed: Vec<Frame> = jsonl
-            .lines()
-            .map(|l| Frame::from_jsonl(l).expect("canonical line"))
-            .collect();
-        let binary = encode(&parsed);
-        // binary -> frames -> JSONL.
-        prop_assert_eq!(render(&decode(&binary)), jsonl);
+    fn convert_cycle_is_byte_identical(records in vec(record(), 0..12)) {
+        let jsonl = render(&records);
+        let binary = encode(&frames_of(&jsonl));
+        prop_assert_eq!(lines_of(&decode(&binary)), jsonl);
+    }
+}
+
+/// Canonical lines the tracer never emits but `convert` has always
+/// accepted: the codec stores text, not addresses, and takes any `u64`
+/// where the tracer happens to use a narrower type or a sentinel.
+const HAND_WRITTEN: [&str; 8] = [
+    "{\"t\":1,\"ev\":\"page_start\",\"target\":\"not an address\"}",
+    "{\"t\":2,\"dev\":1,\"ev\":\"lmp_send\",\"peer\":\"he said \\\"hi\\\"\\n\",\"pdu\":\"LMP_au_rand\"}",
+    "{\"t\":3,\"ev\":\"keystore\",\"peer\":\"\",\"action\":\"store\"}",
+    "{\"t\":7,\"ev\":\"unit_start\",\"unit\":0,\"label\":\"baseline\"}",
+    "{\"t\":8,\"ev\":\"span_open\",\"span\":2,\"parent\":0,\"name\":\"page\"}",
+    "{\"t\":9,\"ev\":\"span_open\",\"span\":3,\"name\":\"page\",\"detail\":\"\"}",
+    "{\"t\":10,\"ev\":\"span_open\",\"span\":4,\"parent\":0,\"name\":\"ploc\",\"detail\":\"\"}",
+    "{\"t\":11,\"dev\":4294967295,\"ev\":\"page_connect\",\"target\":\"aa:bb\",\"responder\":18446744073709551615,\"latency_us\":0,\"raced\":false}",
+];
+
+#[test]
+fn hand_written_canonical_lines_round_trip() {
+    let jsonl: String = HAND_WRITTEN
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let frames = frames_of(&jsonl);
+    for (frame, line) in frames.iter().zip(HAND_WRITTEN) {
+        assert_eq!(frame.line(), line);
+    }
+    assert_eq!(lines_of(&decode(&encode(&frames))), jsonl);
+}
+
+#[test]
+fn lines_outside_the_schema_are_rejected() {
+    for bad in [
+        // Optional members present with the wrong type.
+        "{\"t\":0,\"ev\":\"span_open\",\"span\":1,\"parent\":null,\"name\":\"page\"}",
+        "{\"t\":0,\"ev\":\"span_open\",\"span\":1,\"parent\":\"1\",\"name\":\"page\"}",
+        "{\"t\":0,\"ev\":\"span_open\",\"span\":1,\"name\":\"page\",\"detail\":5}",
+        // Required members missing or mistyped.
+        "{\"t\":0,\"ev\":\"span_open\",\"name\":\"page\"}",
+        "{\"t\":0,\"ev\":\"race\",\"target\":\"x\",\"attacker_won\":1}",
+        "{\"t\":0,\"ev\":\"lmp_send\",\"peer\":5,\"pdu\":\"x\"}",
+        // A device id past u32, an unknown kind, a member of another row.
+        "{\"t\":0,\"dev\":4294967296,\"ev\":\"attack_phase\",\"label\":\"x\"}",
+        "{\"t\":0,\"ev\":\"nonsense\",\"label\":\"x\"}",
+        "{\"t\":0,\"ev\":\"attack_phase\",\"label\":\"x\",\"seq\":1}",
+    ] {
+        assert!(Frame::from_jsonl(bad).is_err(), "{bad}");
     }
 }
 
@@ -194,157 +300,159 @@ proptest! {
 /// rewrites both files from the in-tree sample.
 #[test]
 fn committed_binary_fixture_is_byte_exact() {
-    // One frame per tag, deterministic values — edits here must be
+    // One event per variant, deterministic values — edits here must be
     // paired with a fixture regen and show up in review as byte diffs.
-    let frames = vec![
-        Frame {
-            t: 0,
-            dev: None,
-            kind: FrameKind::UnitStart {
+    let victim: BdAddr = "00:1b:7d:da:71:0a".parse().expect("valid");
+    let attacker: BdAddr = "48:90:12:34:56:78".parse().expect("valid");
+    let at = Instant::from_micros;
+    let records = vec![
+        (
+            None,
+            TraceEvent::UnitStart {
                 unit: 0,
-                label: "trial_pair".to_owned(),
+                label: "trial_pair",
             },
-        },
-        Frame {
-            t: 0,
-            dev: None,
-            kind: FrameKind::SpanOpen {
-                span: 1,
-                parent: None,
-                name: "trial".to_owned(),
-                detail: "blocking".to_owned().into(),
+        ),
+        (
+            None,
+            TraceEvent::SpanOpen {
+                time: at(0),
+                span: SpanId::from_raw(1),
+                parent: SpanId::NONE,
+                name: "trial",
+                detail: "blocking".to_owned(),
             },
-        },
-        Frame {
-            t: 0,
-            dev: Some(0),
-            kind: FrameKind::Dispatch {
+        ),
+        (
+            Some(0),
+            TraceEvent::SchedulerDispatch {
+                time: at(0),
                 seq: 1,
-                kind: "Script".to_owned(),
+                kind: "Script",
             },
-        },
-        Frame {
-            t: 625,
-            dev: Some(2),
-            kind: FrameKind::PageStart {
-                target: "00:1b:7d:da:71:0a".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::PageStarted {
+                time: at(625),
+                target: victim,
             },
-        },
-        Frame {
-            t: 625,
-            dev: Some(2),
-            kind: FrameKind::SpanOpen {
-                span: 2,
-                parent: Some(1),
-                name: "page".to_owned(),
-                detail: "00:1b:7d:da:71:0a".to_owned().into(),
+        ),
+        (
+            Some(2),
+            TraceEvent::SpanOpen {
+                time: at(625),
+                span: SpanId::from_raw(2),
+                parent: SpanId::from_raw(1),
+                name: "page",
+                detail: victim.to_string(),
             },
-        },
-        Frame {
-            t: 1250,
-            dev: Some(2),
-            kind: FrameKind::PageConnect {
-                target: "00:1b:7d:da:71:0a".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::PageConnected {
+                time: at(1250),
+                target: victim,
                 responder: 0,
                 latency_us: 493606,
                 raced: false,
             },
-        },
-        Frame {
-            t: 1250,
-            dev: Some(0),
-            kind: FrameKind::Race {
-                target: "00:1b:7d:da:71:0a".to_owned(),
+        ),
+        (
+            Some(0),
+            TraceEvent::RaceOutcome {
+                time: at(1250),
+                target: victim,
                 attacker_won: true,
             },
-        },
-        Frame {
-            t: 1875,
-            dev: Some(0),
-            kind: FrameKind::Scan {
+        ),
+        (
+            Some(0),
+            TraceEvent::ScanTransition {
+                time: at(1875),
                 page_scan: true,
                 inquiry_scan: false,
             },
-        },
-        Frame {
-            t: 2500,
-            dev: Some(0),
-            kind: FrameKind::LmpSend {
-                peer: "00:1b:7d:da:71:0a".to_owned(),
-                pdu: "LMP_au_rand".to_owned(),
+        ),
+        (
+            Some(0),
+            TraceEvent::LmpSend {
+                time: at(2500),
+                peer: victim,
+                pdu: "LMP_au_rand",
             },
-        },
-        Frame {
-            t: 3750,
-            dev: Some(2),
-            kind: FrameKind::LmpRecv {
-                peer: "48:90:12:34:56:78".to_owned(),
-                pdu: "LMP_au_rand".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::LmpRecv {
+                time: at(3750),
+                peer: attacker,
+                pdu: "LMP_au_rand",
             },
-        },
-        Frame {
-            t: 5000,
-            dev: Some(2),
-            kind: FrameKind::LmpTimeout {
-                peer: "48:90:12:34:56:78".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::LmpTimeout {
+                time: at(5000),
+                peer: attacker,
             },
-        },
-        Frame {
-            t: 5625,
-            dev: Some(0),
-            kind: FrameKind::Hci {
-                dir: "sent".to_owned(),
-                kind: "command".to_owned(),
-                name: "HCI_Create_Connection".to_owned(),
+        ),
+        (
+            Some(0),
+            TraceEvent::HciSeam {
+                time: at(5625),
+                direction: "sent",
+                kind: "command",
+                name: "HCI_Create_Connection",
             },
-        },
-        Frame {
-            t: 6250,
-            dev: None,
-            kind: FrameKind::LinkDrop {
-                reason: "supervision_timeout".to_owned(),
+        ),
+        (
+            None,
+            TraceEvent::LinkDropped {
+                time: at(6250),
+                reason: "supervision_timeout",
             },
-        },
-        Frame {
-            t: 6875,
-            dev: Some(2),
-            kind: FrameKind::Keystore {
-                peer: "48:90:12:34:56:78".to_owned(),
-                action: "install".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::KeystoreMutation {
+                time: at(6875),
+                peer: attacker,
+                action: "install",
             },
-        },
-        Frame {
-            t: 7500,
-            dev: Some(2),
-            kind: FrameKind::AttackPhase {
-                label: "ploc_hold".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::AttackPhase {
+                time: at(7500),
+                label: "ploc_hold",
             },
-        },
-        Frame {
-            t: 8125,
-            dev: None,
-            kind: FrameKind::Warning {
+        ),
+        (
+            None,
+            TraceEvent::Warning {
+                time: at(8125),
                 message: "clock drift \"high\"\n".to_owned(),
             },
-        },
-        Frame {
-            t: 8750,
-            dev: Some(2),
-            kind: FrameKind::PageTimeout {
-                target: "00:1b:7d:da:71:0a".to_owned(),
+        ),
+        (
+            Some(2),
+            TraceEvent::PageTimeout {
+                time: at(8750),
+                target: victim,
             },
-        },
-        Frame {
-            t: u64::MAX,
-            dev: Some(0),
-            kind: FrameKind::SpanClose {
-                span: 1,
-                status: "attacker_won".to_owned(),
+        ),
+        (
+            Some(0),
+            TraceEvent::SpanClose {
+                time: at(u64::MAX),
+                span: SpanId::from_raw(1),
+                status: "attacker_won",
             },
-        },
+        ),
     ];
-    let jsonl = render(&frames);
-    let binary = encode(&frames);
+    let jsonl = render(&records);
+    let binary = encode(&frames_of(&jsonl));
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let jsonl_path = dir.join("trace_small.jsonl");
@@ -369,5 +477,5 @@ fn committed_binary_fixture_is_byte_exact() {
         .expect("fixture opens")
         .read_to_end(&mut bytes)
         .expect("fixture reads");
-    assert_eq!(render(&decode(&bytes)), want_jsonl);
+    assert_eq!(lines_of(&decode(&bytes)), want_jsonl);
 }

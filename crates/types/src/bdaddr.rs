@@ -104,17 +104,30 @@ impl fmt::Debug for BdAddr {
 impl FromStr for BdAddr {
     type Err = ParseAddrError;
 
+    /// Parses six `:`-separated octets.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() != 6 {
-            return Err(ParseAddrError::new(s));
-        }
+        let mut parts = s.split(':');
         let mut bytes = [0u8; 6];
-        for (dst, part) in bytes.iter_mut().zip(parts) {
-            *dst = u8::from_str_radix(part, 16).map_err(|_| ParseAddrError::new(s))?;
+        for dst in &mut bytes {
+            *dst = parts
+                .next()
+                .and_then(octet)
+                .ok_or_else(|| ParseAddrError::new(s))?;
+        }
+        if parts.next().is_some() {
+            return Err(ParseAddrError::new(s));
         }
         Ok(BdAddr(bytes))
     }
+}
+
+/// One address octet: one or two ASCII hex digits, either case.
+fn octet(part: &str) -> Option<u8> {
+    if part.is_empty() || part.len() > 2 {
+        return None;
+    }
+    part.chars()
+        .try_fold(0u8, |acc, c| Some(acc << 4 | c.to_digit(16)? as u8))
 }
 
 impl From<[u8; 6]> for BdAddr {
@@ -168,6 +181,11 @@ mod tests {
         assert!("00:1b:7d:da:71".parse::<BdAddr>().is_err());
         assert!("00:1b:7d:da:71:0a:ff".parse::<BdAddr>().is_err());
         assert!("zz:1b:7d:da:71:0a".parse::<BdAddr>().is_err());
+        // `u8::from_str_radix` alone takes a sign and extra leading zeros.
+        assert!("+a:+b:+c:+d:+e:+f".parse::<BdAddr>().is_err());
+        assert!("000:1b:7d:da:71:0a".parse::<BdAddr>().is_err());
+        assert!("00::7d:da:71:0a".parse::<BdAddr>().is_err());
+        assert!("0:1:2:3:4:5".parse::<BdAddr>().is_ok());
     }
 
     #[test]

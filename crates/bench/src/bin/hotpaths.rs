@@ -10,9 +10,9 @@
 //! contract of the live telemetry tier) — plus end-to-end wall times for
 //! the table drivers and a
 //! `throughput` section with the batched sweep figures
-//! (`pincrack_candidates_per_sec`, `ccm_open_bytes_per_sec`; every
-//! `throughput` key is floor-gated by `blap-bench compare`: only a drop
-//! regresses).
+//! (`pincrack_candidates_per_sec`, `ccm_open_bytes_per_sec`) and the
+//! campaign trial itself (`campaign_trials_per_sec`); every `throughput`
+//! key is floor-gated by `blap-bench compare`: only a drop regresses.
 //!
 //! Regenerate with:
 //!
@@ -29,6 +29,7 @@
 //! multi-x regressions, not a substitute for the Criterion benches
 //! (`cargo bench -p blap-bench`) when microsecond precision matters.
 
+use blap::campaign::{Campaign, Population};
 use blap::eavesdrop::decrypt_capture_batched;
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
@@ -231,9 +232,9 @@ fn main() {
         black_box(e1::e1(black_box(&e1_key), &e1_rand, e1_addr));
     });
 
-    // P-256: two key generations plus two ECDHs per simulated pairing,
-    // nearly all of a campaign trial's time, and the field multiply
-    // underneath both.
+    // P-256: two key generations plus one ECDH per simulated pairing (the
+    // second end takes its DHKey from the world's memo), most of a
+    // campaign trial's time, and the field multiply underneath both.
     let fe_a = FieldElement::from_u256(U256::from_hex(
         "deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788",
     ));
@@ -343,6 +344,20 @@ fn main() {
     let sweep_secs = sweep_started.elapsed().as_secs_f64() / f64::from(SWEEP_REPS);
     let pincrack_candidates_per_sec = warm6.attempts as f64 / sweep_secs;
 
+    // The unit of work itself: fleet campaign trials on one worker, the
+    // median of five runs after one warm-up. Floor-gated like the sweeps.
+    let fleet = Campaign::new(Population::fleet(), 512, 2022);
+    black_box(fleet.run(Jobs::serial()));
+    let mut trial_rates: Vec<f64> = (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(fleet.run(Jobs::serial()));
+            fleet.trials as f64 / started.elapsed().as_secs_f64()
+        })
+        .collect();
+    trial_rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
+    let campaign_trials_per_sec = trial_rates[trial_rates.len() / 2];
+
     // --- End-to-end wall times ------------------------------------------
     let t1_started = Instant::now();
     let t1 = blap_bench::run_table1_observed_with(2022, jobs);
@@ -431,8 +446,12 @@ fn main() {
         json_number(pincrack_candidates_per_sec)
     );
     println!(
-        "    \"ccm_open_bytes_per_sec\": {}",
+        "    \"ccm_open_bytes_per_sec\": {},",
         json_number(ccm_open_bytes_per_sec)
+    );
+    println!(
+        "    \"campaign_trials_per_sec\": {}",
+        json_number(campaign_trials_per_sec)
     );
     println!("  }}");
     println!("}}");

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use blap_baseband::link::HandleAllocator;
 use blap_baseband::scan::ScanState;
 use blap_baseband::timing;
-use blap_crypto::p256::{KeyPair, Point};
+use blap_crypto::p256::{DhMemo, KeyPair, Point};
 use blap_crypto::{bigint::U256, e1, ssp};
 use blap_hci::{Command, Event, Opcode, StatusCode};
 use blap_obs::{prof, SpanId, TraceEvent, Tracer};
@@ -678,7 +678,9 @@ impl Controller {
     // --- LMP processing ---------------------------------------------------
 
     /// Processes one LMP PDU from the peer on the link claiming `from`.
-    pub fn on_lmp(&mut self, now: Instant, from: BdAddr, pdu: LmpPdu) {
+    /// `dh` is the world's DHKey memo: the end of an SSP pairing that
+    /// computes its DHKey second takes it from the first end's entry.
+    pub fn on_lmp(&mut self, now: Instant, from: BdAddr, pdu: LmpPdu, dh: &mut DhMemo) {
         self.now = now;
         self.stats.lmp_received += 1;
         if self.tracer.enabled() {
@@ -834,7 +836,7 @@ impl Controller {
                 self.start_lmp_timer(from);
                 self.send_lmp(from, LmpPdu::PublicKey { x, y });
             }
-            LmpPdu::PublicKey { x, y } => self.on_peer_public_key(now, from, x, y),
+            LmpPdu::PublicKey { x, y } => self.on_peer_public_key(now, from, x, y, dh),
             LmpPdu::Commitment { value } => {
                 let Some(link) = self.links.get_mut(&from) else {
                     return;
@@ -1036,7 +1038,14 @@ impl Controller {
         nonce
     }
 
-    fn on_peer_public_key(&mut self, _now: Instant, from: BdAddr, x: [u8; 32], y: [u8; 32]) {
+    fn on_peer_public_key(
+        &mut self,
+        _now: Instant,
+        from: BdAddr,
+        x: [u8; 32],
+        y: [u8; 32],
+        dh: &mut DhMemo,
+    ) {
         let Some(link) = self.links.get_mut(&from) else {
             return;
         };
@@ -1059,8 +1068,8 @@ impl Controller {
         if initiator {
             // We already sent ours; compute DHKey and wait for commitment.
             let keypair = link.ssp.keypair.clone().expect("initiator has keypair");
-            let dhkey = keypair
-                .diffie_hellman(&point)
+            let dhkey = dh
+                .diffie_hellman(&keypair, &point)
                 .expect("validated public key");
             let link = self.links.get_mut(&from).expect("link present");
             link.ssp.dhkey = Some(dhkey);
@@ -1068,8 +1077,8 @@ impl Controller {
         } else {
             // Responder: send our key, then commit to a fresh nonce.
             let keypair = self.generate_keypair();
-            let dhkey = keypair
-                .diffie_hellman(&point)
+            let dhkey = dh
+                .diffie_hellman(&keypair, &point)
                 .expect("validated public key");
             let (own_x, own_y) = public_key_bytes(&keypair);
             let nonce = self.generate_nonce();
@@ -1347,6 +1356,8 @@ mod tests {
         /// Scripted host behaviour.
         a_host: HostScript,
         b_host: HostScript,
+        /// The DHKey memo a world would lend both controllers.
+        dh: DhMemo,
     }
 
     #[derive(Clone)]
@@ -1380,6 +1391,7 @@ mod tests {
                 b_events: Vec::new(),
                 a_host,
                 b_host,
+                dh: DhMemo::new(),
             }
         }
 
@@ -1426,10 +1438,10 @@ mod tests {
                                 // sender's claimed address.
                                 if side {
                                     let from = self.a.bd_addr();
-                                    self.b.on_lmp(now(), from, pdu);
+                                    self.b.on_lmp(now(), from, pdu, &mut self.dh);
                                 } else {
                                     let from = self.b.bd_addr();
-                                    self.a.on_lmp(now(), from, pdu);
+                                    self.a.on_lmp(now(), from, pdu, &mut self.dh);
                                 }
                             }
                             _ => {}

@@ -5,10 +5,10 @@
 //! one configuration. A *campaign* sweeps a seeded **population** — a
 //! distribution over device profiles, user behaviors, attack modes, and
 //! timing — across an arbitrary trial count. Every trial builds its own
-//! [`World`](blap_sim::World) (its own device state and scheduler heap;
-//! nothing is shared between trials or shards) from a seed derived purely
-//! from the campaign seed and the trial index, so the result is
-//! byte-identical at any worker count.
+//! [`World`](blap_sim::World) (its own device state, scheduler heap and
+//! DHKey memo; nothing is shared between trials or shards) from a seed
+//! derived purely from the campaign seed and the trial index, so the
+//! result is byte-identical at any worker count.
 //!
 //! Scale comes from two properties:
 //!

@@ -4,13 +4,16 @@
 //! keys (P-192 for pre-4.1 devices); the shared secret `DHKey` feeds the
 //! `f2` link-key derivation. This module implements the curve from its
 //! domain parameters: a dedicated field element ([`FieldElement`]: 4×u64
-//! canonical limbs, hardcoded Solinas fold, branch-free add/sub,
-//! addition-chain inversion), Jacobian-coordinate group arithmetic,
-//! windowed-NAF scalar multiplication (with a precomputed fixed-base table
-//! for the generator), and public-key validation (the check whose absence
-//! enabled the Biham–Neumann invalid-curve attack cited by the paper).
-//! [`U256`] appears only at the public boundary: point coordinates,
-//! scalars, [`field_mul`] and the DHKey bytes.
+//! canonical limbs in the Montgomery domain, a Montgomery reduction whose
+//! rounds need no quotient multiply, branch-free add/sub, addition-chain
+//! inversion), Jacobian-coordinate group arithmetic, windowed-NAF scalar
+//! multiplication (with a precomputed fixed-base table for the generator),
+//! and public-key validation (the check whose absence enabled the
+//! Biham–Neumann invalid-curve attack cited by the paper). [`U256`]
+//! appears only at the public boundary: point coordinates, scalars,
+//! [`field_mul`] and the DHKey bytes; values enter and leave the
+//! Montgomery domain there and nowhere else. [`DhMemo`] lets the two ends
+//! of one pairing share a single ECDH.
 //!
 //! Correctness is established structurally: every field operation is
 //! property-tested against the slow binary long division in
@@ -18,7 +21,7 @@
 //! retained [`Point::mul_double_and_add`] reference, the generator
 //! satisfies the curve equation, `n·G = ∞`, scalar multiplication
 //! distributes over scalar addition, and ECDH agreement holds for
-//! arbitrary key pairs.
+//! arbitrary key pairs, memoized or not.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -40,11 +43,19 @@ const N: U256 = U256::from_limbs([
     0xffff_ffff_ffff_ffff,
     0xffff_ffff_0000_0000,
 ]);
+/// The curve coefficient `b` in the Montgomery domain (`b·2^256 mod p`).
 const B: FieldElement = FieldElement([
-    0x3bce_3c3e_27d2_604b,
-    0x651d_06b0_cc53_b0f6,
-    0xb3eb_bd55_7698_86bc,
-    0x5ac6_35d8_aa3a_93e7,
+    0xd89c_df62_29c4_bddf,
+    0xacf0_05cd_7884_3090,
+    0xe5a2_20ab_f721_2ed6,
+    0xdc30_061d_0487_4834,
+]);
+/// `R² = 2^512 mod p`: a Montgomery multiply by it enters the domain.
+const R2: FieldElement = FieldElement([
+    0x0000_0000_0000_0003,
+    0xffff_fffb_ffff_ffff,
+    0xffff_ffff_ffff_fffe,
+    0x0000_0004_ffff_fffd,
 ]);
 const GX: U256 = U256::from_limbs([
     0xf4a1_3945_d898_c296,
@@ -76,18 +87,22 @@ pub fn generator() -> Point {
 
 // --- field element ---------------------------------------------------------
 
-/// An element of the P-256 base field: four little-endian `u64` limbs,
-/// always canonical (`< p`).
+/// An element of the P-256 base field in the Montgomery domain: four
+/// little-endian `u64` limbs holding `a·R mod p` for the value `a`, with
+/// `R = 2^256`, always canonical (`< p`).
 ///
-/// Canonical limbs rather than Montgomery form make conversion to and from
-/// [`U256`] a copy, so coordinates and DHKey bytes leave the field exactly
-/// as its limbs hold them. `add`/`sub`/`double`/`neg` select with masks
-/// instead of branching; `mul`/`sq` accumulate schoolbook rows of u128
-/// limb products and fold the 512-bit result with a straight-line Solinas
-/// reduction; `inv` runs a fixed 255-squaring, 12-multiply
-/// addition chain. The slow paths in [`crate::bigint`] (`mul_mod`,
-/// `add_mod`, `sub_mod`, `inv_mod_prime`) are the oracle these are
-/// property-tested against.
+/// The representation is a bijection on `0..p`, so `==` is still value
+/// equality and zero is still all-zero limbs. Values enter the domain
+/// only in [`Self::from_u256`] (a multiply by `R² mod p`) and leave it
+/// only in [`Self::to_u256`] (one reduction); everything between — the
+/// point formulas, the generator table, the inversion chain, the curve
+/// check — runs inside it. `add`/`sub`/`double`/`neg`/`half` are linear,
+/// so they work on `a·R` unchanged and select with masks instead of
+/// branching; `mul`/`sq` accumulate schoolbook rows of u128 limb products
+/// and Montgomery-reduce the 512-bit result, `(a·R)(b·R)·R⁻¹ = ab·R`;
+/// `inv` runs a fixed 255-squaring, 12-multiply addition chain. The slow
+/// paths in [`crate::bigint`] (`mul_mod`, `add_mod`, `sub_mod`,
+/// `inv_mod_prime`) are the oracle these are property-tested against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FieldElement([u64; 4]);
 
@@ -124,80 +139,69 @@ fn sub_p_unless_below(r: [u64; 4], carry: u64) -> FieldElement {
     ])
 }
 
-/// Solinas reduction of a 512-bit little-endian value modulo p.
+/// Montgomery reduction: `t·R⁻¹ mod p` for a 512-bit little-endian
+/// `t < p·R`.
 ///
-/// Over 32-bit words `c0..c15` the FIPS 186 decomposition gives
-/// `s1 + 2s2 + 2s3 + s4 + s5 - s6 - s7 - s8 - s9`; each output word below
-/// is that sum restricted to one word position, plus the matching word of
-/// `5p`, which keeps the total positive (the four subtracted terms are
-/// below `4·2^256 < 5p`) and below `12·2^256`. The first carry pass leaves
-/// a carry `k` in `0..=11` at `2^256`; folding `k·2^256 ≡ k·(2^224 - 2^192
-/// - 2^96 + 1)` and a second pass leave a value below `2^256 + 11·2^224`,
-/// i.e. below `2p`, for one masked conditional subtraction to finish.
+/// Round `i` adds `q·p·2^(64i)` with `q = t[i]`, which clears limb `i`:
+/// the quotient needs no multiply because `p ≡ −1 (mod 2^64)`, so
+/// `−p⁻¹ ≡ 1 (mod 2^64)`. p's limbs make the round itself cheap
+/// (Gueron & Krasnov, J. Cryptogr. Eng. 2015): `t[i] + q·p[0] = q·2^64`
+/// since `p[0] = 2^64 − 1`, so limb `i` clears and `q` carries; limb
+/// `i + 1` then takes `q·p[1] + q = q·2^32`, a shift; limb `i + 2` only
+/// the carry, since `p[2] = 0`; limb `i + 3` takes `q·p[3]`, the round's
+/// one multiply. After four rounds the low half is zero and the high half
+/// with the top carry is `(t + m·p)/R < 2p`, for one masked conditional
+/// subtraction to finish.
 #[inline(always)]
 fn reduce(t: [u64; 8]) -> FieldElement {
-    const LO: i64 = 0xffff_ffff;
-    let lo = |w: u64| (w & 0xffff_ffff) as i64;
-    let hi = |w: u64| (w >> 32) as i64;
-    let (c0, c1, c2, c3) = (lo(t[0]), hi(t[0]), lo(t[1]), hi(t[1]));
-    let (c4, c5, c6, c7) = (lo(t[2]), hi(t[2]), lo(t[3]), hi(t[3]));
-    let (c8, c9, c10, c11) = (lo(t[4]), hi(t[4]), lo(t[5]), hi(t[5]));
-    let (c12, c13, c14, c15) = (lo(t[6]), hi(t[6]), lo(t[7]), hi(t[7]));
+    let (r, top) = montgomery_rounds(t);
+    sub_p_unless_below(r, top)
+}
 
-    // Word sums; the words of 5p are (5·LO, 5, 0, 0, 0, 5·LO, 5·LO, 5·LO)
-    // from high to low.
-    let a0 = c0 + c8 + c9 - c11 - c12 - c13 - c14 + 5 * LO;
-    let a1 = c1 + c9 + c10 - c12 - c13 - c14 - c15 + 5 * LO;
-    let a2 = c2 + c10 + c11 - c13 - c14 - c15 + 5 * LO;
-    let a3 = c3 + 2 * (c11 + c12) + c13 - c15 - c8 - c9;
-    let a4 = c4 + 2 * (c12 + c13) + c14 - c9 - c10;
-    let a5 = c5 + 2 * (c13 + c14) + c15 - c10 - c11;
-    let a6 = c6 + 3 * c14 + 2 * c15 + c13 - c8 - c9 + 5;
-    let a7 = c7 + 3 * c15 + c8 - c10 - c11 - c12 - c13 + 5 * LO;
-
-    // First carry pass (arithmetic shifts carry the sign).
-    let a1 = a1 + (a0 >> 32);
-    let a2 = a2 + (a1 >> 32);
-    let a3 = a3 + (a2 >> 32);
-    let a4 = a4 + (a3 >> 32);
-    let a5 = a5 + (a4 >> 32);
-    let a6 = a6 + (a5 >> 32);
-    let a7 = a7 + (a6 >> 32);
-    let k = a7 >> 32;
-
-    // Fold k·2^256 and run the second pass.
-    let b0 = (a0 & LO) + k;
-    let b1 = (a1 & LO) + (b0 >> 32);
-    let b2 = (a2 & LO) + (b1 >> 32);
-    let b3 = (a3 & LO) - k + (b2 >> 32);
-    let b4 = (a4 & LO) + (b3 >> 32);
-    let b5 = (a5 & LO) + (b4 >> 32);
-    let b6 = (a6 & LO) - k + (b5 >> 32);
-    let b7 = (a7 & LO) + k + (b6 >> 32);
-    let carry = (b7 >> 32) as u64;
-
-    let word = |l: i64, h: i64| (l & LO) as u64 | ((h & LO) as u64) << 32;
-    sub_p_unless_below(
-        [word(b0, b1), word(b2, b3), word(b4, b5), word(b6, b7)],
-        carry,
-    )
+/// The four rounds of [`reduce`]: `(t + m·p)/R` as its low 256 bits and
+/// the top carry, before the final subtraction.
+#[inline(always)]
+fn montgomery_rounds(mut t: [u64; 8]) -> ([u64; 4], u64) {
+    let mut top = 0u64;
+    for i in 0..4 {
+        let q = t[i];
+        let acc = t[i + 1] as u128 + ((q as u128) << 32);
+        t[i + 1] = acc as u64;
+        let acc = t[i + 2] as u128 + (acc >> 64);
+        t[i + 2] = acc as u64;
+        let acc = t[i + 3] as u128 + q as u128 * P[3] as u128 + (acc >> 64);
+        t[i + 3] = acc as u64;
+        let acc = t[i + 4] as u128 + (acc >> 64) + top as u128;
+        t[i + 4] = acc as u64;
+        top = (acc >> 64) as u64;
+    }
+    ([t[4], t[5], t[6], t[7]], top)
 }
 
 impl FieldElement {
     /// Zero.
     pub const ZERO: FieldElement = FieldElement([0; 4]);
-    /// One.
-    pub const ONE: FieldElement = FieldElement([1, 0, 0, 0]);
+    /// One, in the Montgomery domain: `R mod p = 2^256 − p`.
+    pub const ONE: FieldElement = FieldElement([
+        0x0000_0000_0000_0001,
+        0xffff_ffff_0000_0000,
+        0xffff_ffff_ffff_ffff,
+        0x0000_0000_ffff_fffe,
+    ]);
 
-    /// Reduces a 256-bit value modulo p (one conditional subtraction:
-    /// every 256-bit value is below `2p`).
+    /// Enters the Montgomery domain: `v·R mod p`, as the Montgomery product
+    /// of `v` and `R²`. Any 256-bit `v` is accepted (`v·R² < p·R` for the
+    /// reduction), so this also reduces `v` modulo p.
     pub fn from_u256(v: U256) -> Self {
-        sub_p_unless_below(v.limbs(), 0)
+        // `v` may be `≥ p` here: only the product bound matters to `mul`.
+        FieldElement(v.limbs()).mul(&R2)
     }
 
-    /// The canonical value as a [`U256`].
+    /// Leaves the Montgomery domain: the canonical value as a [`U256`],
+    /// by one reduction of the limbs as a 512-bit value.
     pub fn to_u256(self) -> U256 {
-        U256::from_limbs(self.0)
+        let [a0, a1, a2, a3] = self.0;
+        U256::from_limbs(reduce([a0, a1, a2, a3, 0, 0, 0, 0]).0)
     }
 
     /// Whether this is the zero element.
@@ -263,7 +267,7 @@ impl FieldElement {
     }
 
     /// `self · rhs mod p`: schoolbook rows of 16 u128 multiply-accumulates
-    /// into the 512-bit product, then the Solinas fold.
+    /// into the 512-bit product, then the Montgomery reduction.
     #[inline]
     pub fn mul(&self, rhs: &Self) -> Self {
         let (a, b) = (self.0, rhs.0);
@@ -878,14 +882,148 @@ impl KeyPair {
     /// curve validation, and [`EcdhError::DegenerateSharedSecret`] when the
     /// multiplication lands on the point at infinity.
     pub fn diffie_hellman(&self, remote_public: &Point) -> Result<[u8; 32], EcdhError> {
-        if !remote_public.is_on_curve() || *remote_public == Point::Infinity {
-            return Err(EcdhError::InvalidPublicKey);
+        validate_public_key(remote_public)?;
+        dhkey_of(remote_public.mul(&self.secret))
+    }
+}
+
+/// The remote-key check both ECDH entry points run first: on the curve and
+/// not the point at infinity.
+fn validate_public_key(remote_public: &Point) -> Result<(), EcdhError> {
+    if !remote_public.is_on_curve() || *remote_public == Point::Infinity {
+        return Err(EcdhError::InvalidPublicKey);
+    }
+    Ok(())
+}
+
+/// The DHKey bytes of a shared point: its big-endian x-coordinate.
+fn dhkey_of(shared: Point) -> Result<[u8; 32], EcdhError> {
+    shared
+        .x()
+        .map(|x| x.to_be_bytes())
+        .ok_or(EcdhError::DegenerateSharedSecret)
+}
+
+/// One memoized exchange: the computing end's public key, the peer key it
+/// was computed against, and the DHKey.
+#[derive(Clone, Copy)]
+struct DhEntry {
+    own: Point,
+    peer: Point,
+    dhkey: [u8; 32],
+}
+
+/// One ECDH per pairing: both ends of an SSP exchange compute the same
+/// point, `x·(y·G) = y·(x·G)`, so the end that computes second can take
+/// the first end's DHKey instead of running its own scalar multiplication.
+///
+/// - [`DhMemo::diffie_hellman`] validates the remote key exactly as
+///   [`KeyPair::diffie_hellman`] does, before any lookup, so an off-curve
+///   key or infinity never enters the memo and never hits.
+/// - A miss computes the DHKey and records (own public key, peer public
+///   key, DHKey). A later call hits only when its remote key is an entry's
+///   own key and its own public key is that entry's peer key. Every
+///   [`KeyPair`] derives its public key from its secret, so a hit returns
+///   exactly the bytes this end would have computed; debug builds
+///   recompute and assert it.
+/// - A hit removes its entry. At most [`DhMemo::CAPACITY`] entries live
+///   in a fixed array, and a full memo evicts its oldest: a miss only
+///   recomputes, so eviction never changes a byte, and a peer that opens
+///   pairings without finishing them cannot grow the memo.
+///
+/// # Examples
+///
+/// ```
+/// use blap_crypto::p256::{DhMemo, KeyPair, Scalar};
+///
+/// let alice = KeyPair::from_secret(Scalar::from_u64(7))?;
+/// let bob = KeyPair::from_secret(Scalar::from_u64(11))?;
+/// let mut memo = DhMemo::new();
+/// let first = memo.diffie_hellman(&bob, &alice.public())?; // computes
+/// let second = memo.diffie_hellman(&alice, &bob.public())?; // reuses
+/// assert_eq!(first, second);
+/// assert!(memo.is_empty());
+/// # Ok::<(), blap_crypto::p256::EcdhError>(())
+/// ```
+pub struct DhMemo {
+    /// Live entries, oldest first, in `entries[..len]`.
+    entries: [DhEntry; DhMemo::CAPACITY],
+    len: usize,
+}
+
+impl fmt::Debug for DhMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // DHKeys are key material: show only how many are held.
+        f.debug_struct("DhMemo").field("len", &self.len).finish()
+    }
+}
+
+impl Default for DhMemo {
+    fn default() -> Self {
+        DhMemo::new()
+    }
+}
+
+impl DhMemo {
+    /// How many exchanges the memo holds before it evicts the oldest.
+    pub const CAPACITY: usize = 4;
+
+    /// An empty memo.
+    pub const fn new() -> Self {
+        const VACANT: DhEntry = DhEntry {
+            own: Point::Infinity,
+            peer: Point::Infinity,
+            dhkey: [0; 32],
+        };
+        DhMemo {
+            entries: [VACANT; DhMemo::CAPACITY],
+            len: 0,
         }
-        let shared = remote_public.mul(&self.secret);
-        match shared.x() {
-            Some(x) => Ok(x.to_be_bytes()),
-            None => Err(EcdhError::DegenerateSharedSecret),
+    }
+
+    /// How many exchanges are waiting for their other end.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no exchange is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// [`KeyPair::diffie_hellman`] for `own` against `remote`, taking the
+    /// DHKey from the other end's earlier call when there was one.
+    ///
+    /// # Errors
+    ///
+    /// As [`KeyPair::diffie_hellman`]; an error leaves the memo unchanged.
+    pub fn diffie_hellman(&mut self, own: &KeyPair, remote: &Point) -> Result<[u8; 32], EcdhError> {
+        validate_public_key(remote)?;
+        let mine = own.public();
+        let live = &self.entries[..self.len];
+        if let Some(i) = live.iter().position(|e| e.own == *remote && e.peer == mine) {
+            let dhkey = self.entries[i].dhkey;
+            self.entries.copy_within(i + 1..self.len, i);
+            self.len -= 1;
+            debug_assert_eq!(
+                Ok(dhkey),
+                dhkey_of(mul_wnaf(remote, &own.secret.0)),
+                "memoized DHKey differs from this end's own"
+            );
+            return Ok(dhkey);
         }
+        let dhkey = dhkey_of(remote.mul(&own.secret))?;
+        if self.len == DhMemo::CAPACITY {
+            self.entries.copy_within(1.., 0);
+            self.len -= 1;
+        }
+        self.entries[self.len] = DhEntry {
+            own: mine,
+            peer: *remote,
+            dhkey,
+        };
+        self.len += 1;
+        Ok(dhkey)
     }
 }
 
@@ -893,72 +1031,84 @@ impl KeyPair {
 mod tests {
     use super::*;
 
-    /// The oracle for a raw 512-bit value `hi·2^256 + lo`: binary long
-    /// division on `hi·(2^256 mod p) + lo`.
+    /// `R mod p = 2^256 − p`.
+    fn r_mod_p() -> U256 {
+        U256::ZERO.overflowing_sub(field_prime()).0
+    }
+
+    /// The oracle for the Montgomery reduction of a raw 512-bit value
+    /// `t = hi·2^256 + lo`: `t mod p` by binary long division on
+    /// `hi·(2^256 mod p) + lo`, times `R⁻¹ mod p`.
     fn oracle_reduce(t: [u64; 8]) -> U256 {
         let p = field_prime();
+        let r = r_mod_p();
         let hi = U256::from_limbs([t[4], t[5], t[6], t[7]]);
         let lo = U256::from_limbs([t[0], t[1], t[2], t[3]]);
-        let two_256_mod_p = U256::ZERO.overflowing_sub(p).0;
-        hi.mul_mod(two_256_mod_p, p).add_mod(lo.rem_short(p), p)
+        let t_mod_p = hi.mul_mod(r, p).add_mod(lo.rem_short(p), p);
+        t_mod_p.mul_mod(r.inv_mod_prime(p).expect("R is invertible"), p)
     }
 
-    /// Places 32-bit words `c0..c15` into eight little-endian limbs.
-    fn from_words(c: [u32; 16]) -> [u64; 8] {
-        std::array::from_fn(|i| c[2 * i] as u64 | (c[2 * i + 1] as u64) << 32)
+    /// `hi·2^256 + lo` as eight little-endian limbs.
+    fn wide(hi: U256, lo: U256) -> [u64; 8] {
+        let (hi, lo) = (hi.limbs(), lo.limbs());
+        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
     }
 
     #[test]
-    fn fast_reduction_matches_binary_division() {
-        // Pin the straight-line Solinas fold against the audited-slow path.
-        let samples = [
-            U256::from_u64(0),
-            U256::from_u64(1),
-            U256::from_hex("deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788"),
-            field_prime().overflowing_sub(U256::ONE).0,
-            U256::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
-            U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"),
+    fn montgomery_reduction_matches_oracle_at_its_edges() {
+        let p = field_prime();
+        let p_minus_1 = p.overflowing_sub(U256::ONE).0;
+        let max = U256::from_limbs([u64::MAX; 4]);
+        let half = U256::from_limbs([0, 0, 0, 1 << 63]);
+        // (input, top carry set, final subtraction fires). The rounds
+        // leave (t + m·p)/R < 2p: at or above 2^256 the top carry is set
+        // and the subtraction must fire; in [p, 2^256) it fires on the
+        // comparison alone; below p it must not fire.
+        let cases = [
+            ("0", [0; 8], false, false),
+            ("1", wide(U256::ZERO, U256::ONE), false, false),
+            (
+                "(p-1)^2",
+                p_minus_1.widening_mul(p_minus_1).limbs_le(),
+                false,
+                false,
+            ),
+            // p·R − 1 = (p−1)·2^256 + (2^256 − 1): the largest valid input.
+            ("p*R - 1", wide(p_minus_1, max), false, true),
+            ("(p-1)*R", wide(p_minus_1, U256::ZERO), false, false),
+            ("(p-1)*R + 1", wide(p_minus_1, U256::ONE), true, true),
+            ("2^255*R + 1", wide(half, U256::ONE), true, true),
+            ("2^255*R + R - 1", wide(half, max), false, false),
         ];
-        for a in samples {
-            for b in samples {
-                let limbs = a.widening_mul(b).limbs_le();
-                assert_eq!(
-                    reduce(limbs).to_u256(),
-                    oracle_reduce(limbs),
-                    "mismatch for {a} * {b}"
-                );
-            }
+        for (name, t, carry, fires) in cases {
+            let (r, top) = montgomery_rounds(t);
+            assert_eq!(top == 1, carry, "top carry for {name}");
+            assert_eq!(
+                top == 1 || U256::from_limbs(r) >= p,
+                fires,
+                "subtraction for {name}"
+            );
+            let reduced = U256::from_limbs(reduce(t).0);
+            assert_eq!(reduced, oracle_reduce(t), "t·R⁻¹ mod p for {name}");
+            assert!(reduced < p, "canonical output for {name}");
         }
     }
 
     #[test]
-    fn reduction_survives_extreme_accumulators() {
-        const M: u32 = u32::MAX;
-        // The largest 512-bit input.
-        let all_ones = [u64::MAX; 8];
-        // c9..c13 zero, every other word maximal: the top word sum `a7`
-        // reaches `5·2^32` and the first-pass carry its maximum, 9 (+4
-        // without the 5p bias; searched over all {0, 2^32-1} patterns).
-        let mut most_positive = [M; 16];
-        for w in &mut most_positive[9..=13] {
-            *w = 0;
-        }
-        // c9..c13 maximal, every other word zero: `a7` reaches `-4·2^32`
-        // and the carry its minimum, 0 (-4 without the bias).
-        let mut most_negative = [0u32; 16];
-        for w in &mut most_negative[9..=13] {
-            *w = M;
-        }
-        for t in [
-            all_ones,
-            [0; 8],
-            from_words(most_positive),
-            from_words(most_negative),
-            [u64::MAX, 0, u64::MAX, 0, u64::MAX, 0, u64::MAX, 0],
-            [0, u64::MAX, 0, u64::MAX, 0, u64::MAX, 0, u64::MAX],
-        ] {
-            assert_eq!(reduce(t).to_u256(), oracle_reduce(t), "limbs {t:x?}");
-        }
+    fn montgomery_constants_match_oracle() {
+        let p = field_prime();
+        let r = r_mod_p();
+        assert_eq!(U256::from_limbs(R2.0), r.mul_mod(r, p), "R² = 2^512 mod p");
+        assert_eq!(
+            U256::from_limbs(FieldElement::ONE.0),
+            r,
+            "ONE = 2^256 mod p"
+        );
+        assert_eq!(FieldElement::ONE.to_u256(), U256::ONE);
+        let b = U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
+        assert_eq!(B, FieldElement::from_u256(b), "B = from_u256(b)");
+        assert_eq!(U256::from_limbs(B.0), b.mul_mod(r, p), "B = b·2^256 mod p");
+        assert_eq!(B.to_u256(), b);
     }
 
     #[test]

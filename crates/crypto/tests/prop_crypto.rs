@@ -126,9 +126,9 @@ proptest! {
 
     #[test]
     fn fast_reduction_matches_slow(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        // Pins the Solinas fold (fast path, `field_mul`) against binary
-        // long division (slow path, `mul_mod`/`rem`) for arbitrary
-        // products.
+        // Pins the Montgomery multiply (fast path, `field_mul`, in and out
+        // of the domain) against binary long division (slow path,
+        // `mul_mod`/`rem`) for arbitrary products.
         let p = p256::field_prime();
         let a = U256::from_be_bytes(a).rem_short(p);
         let b = U256::from_be_bytes(b).rem_short(p);
@@ -181,10 +181,15 @@ proptest! {
 }
 
 /// Field values at the edges of the representation: 0, 1, p−1, p−2, the
-/// reduced all-ones limbs (`2^256 − 1 − p`), and two operand pairs whose
-/// products drive the Solinas accumulator's first-pass carry to its most
-/// positive (+3) and most negative (−4) values — the extremes over all
-/// products of operands whose 32-bit words are each 0 or 2^32 − 1.
+/// reduced all-ones limbs (`2^256 − 1 − p`), four values whose 32-bit
+/// words are each 0 or 2^32 − 1, and 2^32 and 2^64 − 1. Between them they
+/// drive every ending of the Montgomery reduction (`t·2^−256 mod p`,
+/// which leaves `(t + m·p)/2^256 < 2p` for one masked subtraction of p):
+/// the squares of p−1, p−2, 2^32 and 2^64 − 1 carry out of 2^256; entering
+/// the domain (a multiply by `2^512 mod p`) carries out for
+/// `ffffffff·2^224` and `ffffffff·2^224 + ffffffff·2^160` and lands in
+/// `[p, 2^256)` for `ffffffff·2^224 + ffffffff`, where the subtraction
+/// fires on the comparison alone; most other products stay below p.
 fn field_edge_values() -> Vec<U256> {
     let p = p256::field_prime();
     vec![
@@ -197,6 +202,8 @@ fn field_edge_values() -> Vec<U256> {
         U256::from_hex("ffffffff000000000000000000000000000000000000000000000000ffffffff"),
         U256::from_hex("ffffffffffffffff00000000000000000000000000000000"),
         U256::from_hex("ffffffff00000000ffffffff0000000000000000000000000000000000000000"),
+        U256::from_u64(1 << 32),
+        U256::from_u64(u64::MAX),
     ]
 }
 
@@ -222,6 +229,63 @@ fn field_edge_values_match_oracle() {
             assert_eq!(fe(a).mul(&fe(b)).to_u256(), a.mul_mod(b, p), "{a} * {b}");
             assert_eq!(fe(a).add(&fe(b)).to_u256(), a.add_mod(b, p), "{a} + {b}");
             assert_eq!(fe(a).sub(&fe(b)).to_u256(), a.sub_mod(b, p), "{a} - {b}");
+        }
+    }
+}
+
+// One ECDH per pairing: the memo against plain `KeyPair::diffie_hellman`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn dh_memo_returns_what_each_end_computes(a in any::<[u8; 32]>(),
+                                              b in any::<[u8; 32]>(),
+                                              c in any::<[u8; 32]>()) {
+        use p256::{DhMemo, EcdhError, KeyPair, Point};
+        let key = |bytes| KeyPair::from_rng_bytes(bytes).expect("nonzero secret");
+        let (ka, kb, kc) = (key(a), key(b), key(c));
+        let (pa, pb) = (ka.public(), kb.public());
+        prop_assume!(pa != pb && pa != kc.public() && pb != kc.public());
+        let mut memo = DhMemo::new();
+
+        // B's end takes A's DHKey, and the hit consumes the entry.
+        prop_assert_eq!(memo.diffie_hellman(&ka, &pb), ka.diffie_hellman(&pb));
+        prop_assert_eq!(memo.len(), 1);
+        prop_assert_eq!(memo.diffie_hellman(&kb, &pa), kb.diffie_hellman(&pa));
+        prop_assert!(memo.is_empty());
+
+        // C presents A's key too but is not the peer A computed against:
+        // a miss, computed afresh and recorded beside A's entry.
+        prop_assert_eq!(memo.diffie_hellman(&ka, &pb), ka.diffie_hellman(&pb));
+        prop_assert_eq!(memo.diffie_hellman(&kc, &pa), kc.diffie_hellman(&pa));
+        prop_assert_eq!(memo.len(), 2);
+
+        // Invalid keys are rejected before any lookup or insertion.
+        let Point::Affine { x, y } = pa else { unreachable!("public keys are affine") };
+        let off_curve = Point::Affine { x, y: y.overflowing_add(U256::ONE).0 };
+        for bad in [off_curve, Point::Infinity] {
+            prop_assert_eq!(memo.diffie_hellman(&kb, &bad), Err(EcdhError::InvalidPublicKey));
+            prop_assert_eq!(memo.len(), 2);
+        }
+        prop_assert_eq!(memo.diffie_hellman(&kb, &pa), kb.diffie_hellman(&pa));
+        prop_assert_eq!(memo.len(), 1);
+
+        // Overfilled, the memo evicts its oldest entries; every answer is
+        // still the freshly computed one, hit or miss.
+        let peers: Vec<KeyPair> = (0..DhMemo::CAPACITY as u8 + 2)
+            .map(|i| {
+                let mut bytes = b;
+                bytes[0] ^= i + 1;
+                key(bytes)
+            })
+            .collect();
+        for peer in &peers {
+            prop_assert_eq!(memo.diffie_hellman(&ka, &peer.public()), ka.diffie_hellman(&peer.public()));
+            prop_assert!(memo.len() <= DhMemo::CAPACITY);
+        }
+        prop_assert_eq!(memo.len(), DhMemo::CAPACITY);
+        for peer in &peers {
+            prop_assert_eq!(memo.diffie_hellman(peer, &pa), peer.diffie_hellman(&pa));
         }
     }
 }

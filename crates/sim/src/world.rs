@@ -8,6 +8,7 @@ use blap_baseband::race::{PageRaceModel, RaceTally, RaceWinner};
 use blap_baseband::timing;
 use blap_controller::lmp::LmpPdu;
 use blap_controller::{ControllerOutput, PageOutcome};
+use blap_crypto::p256::DhMemo;
 use blap_hci::{HciPacket, PacketDirection};
 use blap_host::HostOutput;
 use blap_obs::{prof, Histogram, Metrics, SpanId, TraceEvent, Tracer};
@@ -107,6 +108,10 @@ pub struct World {
     /// Open `page` spans keyed by (pager, paged address); populated only
     /// while a tracer is attached.
     page_spans: HashMap<(DeviceId, BdAddr), SpanId>,
+    /// DHKeys awaiting the other end of their SSP pairing, lent to every
+    /// `on_lmp` call: one ECDH per pairing instead of two. It lives and
+    /// dies with this world, so nothing crosses trials.
+    dh_memo: DhMemo,
 }
 
 /// Always-on world counters: plain integer fields so the hot dispatch path
@@ -155,6 +160,7 @@ impl World {
             tracer: Tracer::disabled(),
             counters: WorldCounters::default(),
             page_spans: HashMap::new(),
+            dh_memo: DhMemo::new(),
         }
     }
 
@@ -386,7 +392,9 @@ impl World {
                         au_rand,
                     });
                 }
-                self.devices[to.0].controller.on_lmp(now, from_addr, pdu);
+                self.devices[to.0]
+                    .controller
+                    .on_lmp(now, from_addr, pdu, &mut self.dh_memo);
                 if is_detach {
                     if let Some(link) = self.links.get_mut(&link_id) {
                         link.alive = false;
@@ -564,6 +572,7 @@ impl World {
             LmpPdu::Detach {
                 reason: blap_hci::StatusCode::ConnectionTimeout,
             },
+            &mut self.dh_memo,
         );
         self.devices[b.0].controller.on_lmp(
             now,
@@ -571,6 +580,7 @@ impl World {
             LmpPdu::Detach {
                 reason: blap_hci::StatusCode::ConnectionTimeout,
             },
+            &mut self.dh_memo,
         );
         self.pump(a);
         self.pump(b);
@@ -955,6 +965,51 @@ mod tests {
             .map(|e| e.link_key);
         assert!(phone_key.is_some());
         assert_eq!(phone_key, kit_key, "both ends store the same link key");
+    }
+
+    #[test]
+    fn one_ssp_pairing_runs_three_p256_multiplications() {
+        // Two key generations and one ECDH: the end that computes its
+        // DHKey second takes it from the world's memo. Other tests in this
+        // binary may record scopes too, so only calls under a root scope
+        // that no other test opens are counted.
+        prof::set_enabled(true);
+        let (phone_key, kit_key, memo_drained) = {
+            let _root = prof::scope("one_ssp_pairing");
+            let mut world = World::new(1);
+            let phone = world.add_device(profiles::lg_velvet().victim_phone("11:11:11:11:11:11"));
+            let kit = world.add_device(profiles::car_kit("cc:cc:cc:cc:cc:cc"));
+            world
+                .device_mut(phone)
+                .host
+                .pair_with(addr("cc:cc:cc:cc:cc:cc"));
+            world.run_for(Duration::from_secs(5));
+            let key = |id: DeviceId, peer: &str| {
+                world
+                    .device(id)
+                    .host
+                    .keystore()
+                    .get(addr(peer))
+                    .map(|e| e.link_key)
+            };
+            (
+                key(phone, "cc:cc:cc:cc:cc:cc"),
+                key(kit, "11:11:11:11:11:11"),
+                world.dh_memo.is_empty(),
+            )
+        };
+        prof::set_enabled(false);
+        let calls: u64 = prof::report()
+            .walk()
+            .iter()
+            .filter(|(path, _)| path.starts_with("one_ssp_pairing;"))
+            .filter(|(path, _)| path.ends_with(";crypto.p256"))
+            .map(|(_, node)| node.calls)
+            .sum();
+        assert_eq!(calls, 3, "P-256 multiplications for one SSP pairing");
+        assert!(phone_key.is_some());
+        assert_eq!(phone_key, kit_key, "both ends store the same link key");
+        assert!(memo_drained, "the second end consumed the memo entry");
     }
 
     #[test]

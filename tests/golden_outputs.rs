@@ -14,6 +14,7 @@
 //! BLAP_REGEN_FIXTURES=1 cargo test --test golden_outputs
 //! ```
 
+use blap::campaign::{Campaign, Population};
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::report;
 use blap::runner::Jobs;
@@ -90,6 +91,23 @@ fn golden_btsnoop_and_usb_capture_bytes() {
     let usb = world.device(pc).usb_capture().expect("USB transport");
     check_fixture("fig11_phone.btsnoop", &snoop);
     check_fixture("fig11_pc_usb.bin", &usb);
+}
+
+/// The campaign path, which the other fixtures leave to self-comparison
+/// (jobs 1 vs 8): a 96-trial fleet campaign's merged metrics document.
+/// Every trial runs SSP Authentication Stage 1, one ECDH per pairing
+/// through the world's DHKey memo; `fig11_phone.btsnoop` above already
+/// pins one `f2(DHKey)` link key byte for byte.
+#[test]
+fn golden_fleet_campaign_metrics() {
+    let campaign = Campaign {
+        population: Population::fleet(),
+        trials: 96,
+        shards: 6,
+        seed: 1701,
+    };
+    let metrics = campaign.run(Jobs::serial()).to_json();
+    check_fixture("fleet_campaign_metrics.json", metrics.as_bytes());
 }
 
 #[test]

@@ -1,7 +1,17 @@
 //! The controller state machine.
+//!
+//! [`Controller`] turns host commands, peer LMP PDUs, baseband results and
+//! timer expiries into one output queue. Link security runs through the
+//! link's [`Procedure`] (see [`crate::links`]). Every input that can move
+//! a procedure goes through `Controller::advance`, which takes the
+//! procedure out of the link by value, hands it to one handler, and stores
+//! the procedure the handler returns. Each handler matches only the
+//! variants its input belongs to and hands any other variant back
+//! unchanged, so an input outside its phase changes nothing.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::mem;
 
 use blap_baseband::link::HandleAllocator;
 use blap_baseband::scan::ScanState;
@@ -10,15 +20,12 @@ use blap_crypto::p256::{DhMemo, KeyPair, Point};
 use blap_crypto::{bigint::U256, e1, ssp};
 use blap_hci::{Command, Event, Opcode, StatusCode};
 use blap_obs::{prof, SpanId, TraceEvent, Tracer};
-use blap_types::{
-    AssociationModel, BdAddr, ConnectionHandle, Duration, Instant, IoCapability, LinkKey,
-    LinkKeyType, Role,
-};
+use blap_types::{BdAddr, ConnectionHandle, Duration, Instant, LinkKey, LinkKeyType, Role};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::ControllerConfig;
-use crate::links::{AuthPhase, LinkEntry, SspPhase};
+use crate::links::{Caps, Exchange, IoCaps, Legacy, LinkEntry, Procedure, Transcript};
 use crate::lmp::LmpPdu;
 
 /// Something the controller wants the outside world to do.
@@ -259,6 +266,28 @@ impl Controller {
             .map(|l| l.peer)
     }
 
+    /// Runs one procedure step on the link to `peer`, if there is one: the
+    /// link's procedure goes to `step` by value, and the procedure `step`
+    /// returns is stored, unless `step` tore the link down.
+    fn advance(
+        &mut self,
+        peer: BdAddr,
+        step: impl FnOnce(&mut Self, LinkId, Procedure) -> Procedure,
+    ) {
+        let Some(link) = self.links.get_mut(&peer) else {
+            return;
+        };
+        let at = LinkId {
+            peer,
+            handle: link.handle,
+        };
+        let current = mem::take(&mut link.procedure);
+        let next = step(self, at, current);
+        if let Some(link) = self.links.get_mut(&peer) {
+            link.procedure = next;
+        }
+    }
+
     // --- HCI command processing ---------------------------------------
 
     /// Processes one HCI command from the host.
@@ -308,9 +337,7 @@ impl Controller {
             }
             Command::AcceptConnectionRequest { bd_addr, .. } => {
                 self.command_status(StatusCode::Success, Opcode::ACCEPT_CONNECTION_REQUEST);
-                if let Some(link) = self.links.get_mut(&bd_addr) {
-                    link.awaiting_accept = false;
-                    let handle = link.handle;
+                if let Some(handle) = self.links.get(&bd_addr).map(|l| l.handle) {
                     self.send_lmp(bd_addr, LmpPdu::ConnectionAccepted);
                     self.emit_event(Event::ConnectionComplete {
                         status: StatusCode::Success,
@@ -328,38 +355,40 @@ impl Controller {
             }
             Command::LinkKeyRequestReply { bd_addr, link_key } => {
                 self.command_complete(Opcode::LINK_KEY_REQUEST_REPLY, StatusCode::Success);
-                self.on_host_key(bd_addr, Some(link_key));
+                self.advance(bd_addr, |c, at, p| c.on_host_key(at, p, Some(link_key)));
             }
             Command::LinkKeyRequestNegativeReply { bd_addr } => {
                 self.command_complete(Opcode::LINK_KEY_REQUEST_NEGATIVE_REPLY, StatusCode::Success);
-                self.on_host_key(bd_addr, None);
+                self.advance(bd_addr, |c, at, p| c.on_host_key(at, p, None));
             }
             Command::PinCodeRequestReply { bd_addr, pin } => {
                 self.command_complete(Opcode::PIN_CODE_REQUEST_REPLY, StatusCode::Success);
-                self.on_host_pin(bd_addr, &pin);
+                self.advance(bd_addr, |c, at, p| c.on_host_pin(at, p, &pin));
             }
             Command::PinCodeRequestNegativeReply { bd_addr } => {
                 self.command_complete(Opcode::PIN_CODE_REQUEST_NEGATIVE_REPLY, StatusCode::Success);
-                if let Some(link) = self.links.get_mut(&bd_addr) {
-                    link.legacy = Default::default();
-                }
-                self.close_auth_span(bd_addr, "rejected");
-                self.send_lmp(
-                    bd_addr,
-                    LmpPdu::AuthReject {
-                        reason: StatusCode::PairingNotAllowed,
-                    },
-                );
+                self.advance(bd_addr, |c, at, p| match p {
+                    Procedure::LegacyPin(Legacy { own: None, .. }) => {
+                        c.close_auth_span(at.peer, "rejected");
+                        let reason = StatusCode::PairingNotAllowed;
+                        c.send_lmp(at.peer, LmpPdu::AuthReject { reason });
+                        Procedure::Idle
+                    }
+                    p => p,
+                });
             }
             Command::AuthenticationRequested { handle } => match self.peer_by_handle(handle) {
                 Some(peer) => {
                     self.command_status(StatusCode::Success, Opcode::AUTHENTICATION_REQUESTED);
-                    self.open_auth_span(peer);
-                    if let Some(link) = self.links.get_mut(&peer) {
-                        link.auth = AuthPhase::AwaitHostKey { verifier: true };
-                    }
-                    self.start_lmp_timer(peer);
-                    self.emit_event(Event::LinkKeyRequest { bd_addr: peer });
+                    self.advance(peer, |c, at, p| match p {
+                        Procedure::Idle => {
+                            c.open_auth_span(at.peer);
+                            c.start_lmp_timer(at.peer);
+                            c.emit_event(Event::LinkKeyRequest { bd_addr: at.peer });
+                            Procedure::AwaitHostKey
+                        }
+                        p => p,
+                    });
                 }
                 None => {
                     self.command_status(
@@ -393,23 +422,22 @@ impl Controller {
                 ..
             } => {
                 self.command_complete(Opcode::IO_CAPABILITY_REQUEST_REPLY, StatusCode::Success);
-                self.on_host_io_cap(bd_addr, io_capability, auth_requirements);
+                let own = IoCaps {
+                    io: io_capability,
+                    auth_req: auth_requirements,
+                };
+                self.advance(bd_addr, |c, at, p| c.on_host_io_cap(at, p, own));
             }
             Command::UserConfirmationRequestReply { bd_addr } => {
                 self.command_complete(Opcode::USER_CONFIRMATION_REQUEST_REPLY, StatusCode::Success);
-                if let Some(link) = self.links.get_mut(&bd_addr) {
-                    link.ssp.local_confirmed = true;
-                }
-                self.send_lmp(bd_addr, LmpPdu::NumericAccepted);
-                self.maybe_send_dhkey_check(bd_addr);
+                self.advance(bd_addr, |c, at, p| c.on_confirmation(at, p, true, true));
             }
             Command::UserConfirmationRequestNegativeReply { bd_addr } => {
                 self.command_complete(
                     Opcode::USER_CONFIRMATION_REQUEST_NEGATIVE_REPLY,
                     StatusCode::Success,
                 );
-                self.send_lmp(bd_addr, LmpPdu::NumericRejected);
-                self.abort_pairing(bd_addr, StatusCode::AuthenticationFailure);
+                self.advance(bd_addr, |c, at, p| c.on_confirmation(at, p, true, false));
             }
             Command::Reset => {
                 self.links.clear();
@@ -510,168 +538,477 @@ impl Controller {
                 let Some(link) = self.links.get(&peer) else {
                     return; // link already gone
                 };
-                let pending_auth = !matches!(link.auth, AuthPhase::Idle | AuthPhase::Complete);
-                let pending_ssp = !matches!(link.ssp.phase, SspPhase::Idle | SspPhase::Complete);
-                if !(pending_auth || pending_ssp) {
-                    return; // procedure finished before the timer fired
-                }
+                let verifier = match link.procedure {
+                    Procedure::Idle => return, // finished before the timer fired
+                    Procedure::AwaitHostKey | Procedure::AwaitSres { .. } => true,
+                    _ => false,
+                };
+                let at = LinkId {
+                    peer,
+                    handle: link.handle,
+                };
                 self.stats.lmp_response_timeouts += 1;
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::LmpTimeout { time: now, peer });
                 }
-                let handle = link.handle;
-                let was_verifier = matches!(
-                    link.auth,
-                    AuthPhase::AwaitHostKey { verifier: true } | AuthPhase::AwaitResponse { .. }
-                );
-                self.close_auth_span(peer, "timeout");
-                self.links.remove(&peer);
-                self.send_lmp(
-                    peer,
-                    LmpPdu::Detach {
-                        reason: StatusCode::LmpResponseTimeout,
-                    },
-                );
-                if was_verifier {
-                    // The host learns the procedure ended, but crucially the
-                    // status is a timeout, not an authentication failure —
-                    // so no key deletion (§IV-C of the paper).
-                    self.emit_event(Event::AuthenticationComplete {
-                        status: StatusCode::LmpResponseTimeout,
-                        handle,
-                    });
-                }
-                self.emit_event(Event::DisconnectionComplete {
-                    status: StatusCode::Success,
-                    handle,
-                    reason: StatusCode::LmpResponseTimeout,
-                });
+                // A verifier's host learns the procedure ended, but crucially
+                // the status is a timeout, not an authentication failure — so
+                // no key deletion (§IV-C of the paper).
+                self.detach(at, "timeout", StatusCode::LmpResponseTimeout, verifier);
             }
         }
     }
 
-    // --- host key / io-cap plumbing --------------------------------------
-
-    fn on_host_key(&mut self, peer: BdAddr, key: Option<LinkKey>) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        match (&link.auth.clone(), key) {
-            (AuthPhase::AwaitHostKey { verifier: true }, Some(key))
-            | (AuthPhase::Idle, Some(key)) => {
-                // Verifier has the key: challenge the prover.
-                link.session_key = Some(key);
-                let mut rand = [0u8; 16];
-                self.rng.fill(&mut rand);
-                let zero = [0u8; 16];
-                let (expected_sres, aco) = ssp::secure_authentication_response(
-                    &key,
-                    self.config.bd_addr,
-                    peer,
-                    &rand,
-                    &zero,
-                );
-                let link = self.links.get_mut(&peer).expect("link present");
-                link.auth = AuthPhase::AwaitResponse {
-                    rand,
-                    expected_sres,
-                };
-                link.aco = Some(aco);
-                self.start_lmp_timer(peer);
-                self.send_lmp(peer, LmpPdu::AuthChallenge { rand });
-            }
-            (AuthPhase::AwaitHostKey { verifier: true }, None) => {
-                link.auth = AuthPhase::Idle;
-                if self.ssp_enabled {
-                    // Not bonded: fall into Secure Simple Pairing as
-                    // initiator.
-                    link.ssp.initiator = true;
-                    link.ssp.phase = SspPhase::AwaitHostIoCap;
-                    self.emit_event(Event::IoCapabilityRequest { bd_addr: peer });
-                } else {
-                    // Pre-2.1 stack: legacy PIN pairing (E22/E21).
-                    let mut in_rand = [0u8; 16];
-                    self.rng.fill(&mut in_rand);
-                    let link = self.links.get_mut(&peer).expect("link present");
-                    link.legacy.active = true;
-                    link.legacy.initiator = true;
-                    link.legacy.in_rand = Some(in_rand);
-                    self.start_lmp_timer(peer);
-                    self.send_lmp(peer, LmpPdu::LegacyInRand { rand: in_rand });
-                    self.emit_event(Event::PinCodeRequest { bd_addr: peer });
-                }
-            }
-            (AuthPhase::AwaitHostKeyForChallenge { rand }, Some(key)) => {
-                // Prover answers the outstanding challenge.
-                link.session_key = Some(key);
-                let rand = *rand;
-                let zero = [0u8; 16];
-                let (sres, aco) = ssp::secure_authentication_response(
-                    &key,
-                    peer, // verifier's address first
-                    self.config.bd_addr,
-                    &rand,
-                    &zero,
-                );
-                let link = self.links.get_mut(&peer).expect("link present");
-                link.auth = AuthPhase::Complete;
-                link.aco = Some(aco);
-                self.send_lmp(peer, LmpPdu::AuthResponse { sres });
-                self.close_auth_span(peer, "ok");
-            }
-            (AuthPhase::AwaitHostKeyForChallenge { .. }, None) => {
-                link.auth = AuthPhase::Idle;
-                self.close_auth_span(peer, "rejected");
-                self.send_lmp(
-                    peer,
-                    LmpPdu::AuthReject {
-                        reason: StatusCode::PinOrKeyMissing,
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-
-    fn on_host_io_cap(&mut self, peer: BdAddr, io: IoCapability, auth_req: u8) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        if link.ssp.phase != SspPhase::AwaitHostIoCap {
-            return;
-        }
-        link.ssp.own_io = Some(io);
-        link.ssp.own_auth_req = auth_req;
-        if link.ssp.initiator {
-            link.ssp.phase = SspPhase::AwaitIoCapResponse;
-            self.start_lmp_timer(peer);
-            self.send_lmp(
-                peer,
-                LmpPdu::IoCapRequest {
-                    io_capability: io,
-                    auth_requirements: auth_req,
-                },
-            );
-        } else {
-            // Responder: reveal the initiator's caps to the host, answer the
-            // LMP request, then wait for the initiator's public key.
-            let peer_io = link.ssp.peer_io.expect("responder knows peer io");
-            let peer_auth_req = link.ssp.peer_auth_req;
-            link.ssp.phase = SspPhase::AwaitPublicKey;
-            self.emit_event(Event::IoCapabilityResponse {
-                bd_addr: peer,
-                io_capability: peer_io,
-                oob_data_present: false,
-                auth_requirements: peer_auth_req,
+    /// Ends the link after a procedure failed or timed out: `LMP_detach` to
+    /// the peer, then `Authentication_Complete` (for a verifier) and
+    /// `Disconnection_Complete` to the host, all carrying `reason`.
+    fn detach(&mut self, at: LinkId, span: &'static str, reason: StatusCode, verifier: bool) {
+        self.close_auth_span(at.peer, span);
+        self.links.remove(&at.peer);
+        self.send_lmp(at.peer, LmpPdu::Detach { reason });
+        if verifier {
+            self.emit_event(Event::AuthenticationComplete {
+                status: reason,
+                handle: at.handle,
             });
-            self.start_lmp_timer(peer);
+        }
+        self.emit_event(Event::DisconnectionComplete {
+            status: StatusCode::Success,
+            handle: at.handle,
+            reason,
+        });
+    }
+
+    // --- bonded authentication --------------------------------------------
+
+    fn on_host_key(&mut self, at: LinkId, p: Procedure, key: Option<LinkKey>) -> Procedure {
+        match (p, key) {
+            (Procedure::AwaitHostKey, Some(key)) => self.challenge(at.peer, key),
+            (Procedure::AwaitHostKey, None) if self.ssp_enabled => {
+                // Not bonded: fall into Secure Simple Pairing as initiator.
+                self.emit_event(Event::IoCapabilityRequest { bd_addr: at.peer });
+                Procedure::AwaitHostIoCap { peer: None }
+            }
+            (Procedure::AwaitHostKey, None) => {
+                // Pre-2.1 stack: legacy PIN pairing (E22/E21).
+                let in_rand = self.rand128();
+                self.start_lmp_timer(at.peer);
+                self.send_lmp(at.peer, LmpPdu::LegacyInRand { rand: in_rand });
+                self.emit_event(Event::PinCodeRequest { bd_addr: at.peer });
+                Procedure::LegacyPin(Legacy {
+                    initiator: true,
+                    in_rand,
+                    own: None,
+                    peer_comb: None,
+                })
+            }
+            (Procedure::AwaitHostKeyForChallenge { rand }, Some(key)) => {
+                // Prover answers the outstanding challenge.
+                let sres = self.sres(at.peer, key, &rand, false);
+                self.send_lmp(at.peer, LmpPdu::AuthResponse { sres });
+                self.close_auth_span(at.peer, "ok");
+                Procedure::Idle
+            }
+            (Procedure::AwaitHostKeyForChallenge { .. }, None) => {
+                self.close_auth_span(at.peer, "rejected");
+                let reason = StatusCode::PinOrKeyMissing;
+                self.send_lmp(at.peer, LmpPdu::AuthReject { reason });
+                Procedure::Idle
+            }
+            (p, _) => p,
+        }
+    }
+
+    /// Verifier: challenges the prover under `key` and waits for its SRES.
+    fn challenge(&mut self, peer: BdAddr, key: LinkKey) -> Procedure {
+        let rand = self.rand128();
+        let expected = self.sres(peer, key, &rand, true);
+        self.start_lmp_timer(peer);
+        self.send_lmp(peer, LmpPdu::AuthChallenge { rand });
+        Procedure::AwaitSres { expected }
+    }
+
+    /// The SRES for challenge `rand` under `key` (`h4`/`h5`, verifier's
+    /// address first). Records the key and the new ACO on the link.
+    fn sres(&mut self, peer: BdAddr, key: LinkKey, rand: &[u8; 16], verifier: bool) -> [u8; 4] {
+        let own = self.config.bd_addr;
+        let (a1, a2) = if verifier { (own, peer) } else { (peer, own) };
+        let (sres, aco) = ssp::secure_authentication_response(&key, a1, a2, rand, &[0; 16]);
+        if let Some(link) = self.links.get_mut(&peer) {
+            link.session_key = Some(key);
+            link.aco = aco;
+        }
+        sres
+    }
+
+    fn on_challenge(&mut self, at: LinkId, p: Procedure, rand: [u8; 16]) -> Procedure {
+        let Procedure::Idle = p else {
+            return p;
+        };
+        match self.links.get(&at.peer).and_then(|l| l.session_key) {
+            Some(key) => {
+                let sres = self.sres(at.peer, key, &rand, false);
+                self.send_lmp(at.peer, LmpPdu::AuthResponse { sres });
+                Procedure::Idle
+            }
+            None => {
+                self.open_auth_span(at.peer);
+                self.emit_event(Event::LinkKeyRequest { bd_addr: at.peer });
+                Procedure::AwaitHostKeyForChallenge { rand }
+            }
+        }
+    }
+
+    fn on_peer_sres(&mut self, at: LinkId, p: Procedure, sres: [u8; 4]) -> Procedure {
+        let Procedure::AwaitSres { expected } = p else {
+            return p;
+        };
+        self.cancel_lmp_timer(at.peer);
+        if sres == expected {
+            self.close_auth_span(at.peer, "ok");
+            self.emit_event(Event::AuthenticationComplete {
+                status: StatusCode::Success,
+                handle: at.handle,
+            });
+        } else {
+            self.detach(at, "failed", StatusCode::AuthenticationFailure, true);
+        }
+        Procedure::Idle
+    }
+
+    // --- Secure Simple Pairing --------------------------------------------
+
+    fn on_host_io_cap(&mut self, at: LinkId, p: Procedure, own: IoCaps) -> Procedure {
+        let Procedure::AwaitHostIoCap { peer } = p else {
+            return p;
+        };
+        let Some(peer) = peer else {
+            // Initiator: open the LMP exchange.
+            self.start_lmp_timer(at.peer);
             self.send_lmp(
-                peer,
-                LmpPdu::IoCapResponse {
-                    io_capability: io,
-                    auth_requirements: auth_req,
+                at.peer,
+                LmpPdu::IoCapRequest {
+                    io_capability: own.io,
+                    auth_requirements: own.auth_req,
                 },
             );
+            return Procedure::AwaitIoCapResponse { own };
+        };
+        // Responder: answer the LMP request, then wait for the initiator's
+        // public key.
+        let pdu = LmpPdu::IoCapResponse {
+            io_capability: own.io,
+            auth_requirements: own.auth_req,
+        };
+        let caps = Caps {
+            initiator: false,
+            own,
+            peer,
+        };
+        self.caps_exchanged(at, caps, None, pdu)
+    }
+
+    fn on_peer_io_cap(&mut self, at: LinkId, p: Procedure, peer: IoCaps) -> Procedure {
+        let Procedure::AwaitIoCapResponse { own } = p else {
+            return p;
+        };
+        // Initiator: our public key goes out before the responder's.
+        let (keypair, x, y) = self.generate_keypair();
+        let caps = Caps {
+            initiator: true,
+            own,
+            peer,
+        };
+        self.caps_exchanged(at, caps, Some((keypair, x)), LmpPdu::PublicKey { x, y })
+    }
+
+    /// Both IO capabilities are known: reveal the peer's to the host, send
+    /// `pdu`, and wait for the peer's public key.
+    fn caps_exchanged(
+        &mut self,
+        at: LinkId,
+        caps: Caps,
+        keypair: Option<(KeyPair, [u8; 32])>,
+        pdu: LmpPdu,
+    ) -> Procedure {
+        self.emit_event(Event::IoCapabilityResponse {
+            bd_addr: at.peer,
+            io_capability: caps.peer.io,
+            oob_data_present: false,
+            auth_requirements: caps.peer.auth_req,
+        });
+        self.start_lmp_timer(at.peer);
+        self.send_lmp(at.peer, pdu);
+        Procedure::AwaitPublicKey { caps, keypair }
+    }
+
+    fn on_peer_public_key(
+        &mut self,
+        at: LinkId,
+        p: Procedure,
+        (x, y): ([u8; 32], [u8; 32]),
+        dh: &mut DhMemo,
+    ) -> Procedure {
+        let Procedure::AwaitPublicKey { caps, keypair } = p else {
+            return p;
+        };
+        // Invalid-curve defence: validate before using.
+        let point = Point::Affine {
+            x: U256::from_be_bytes(x),
+            y: U256::from_be_bytes(y),
+        };
+        if !point.is_on_curve() {
+            return self.fail_pairing(at, caps.initiator);
+        }
+        // The initiator's key pair went out already; the responder draws
+        // its own now.
+        let (keypair, own_x, responder_y) = match keypair {
+            Some((keypair, own_x)) => (keypair, own_x, None),
+            None => {
+                let (keypair, own_x, own_y) = self.generate_keypair();
+                (keypair, own_x, Some(own_y))
+            }
+        };
+        let Ok(dhkey) = dh.diffie_hellman(&keypair, &point) else {
+            return self.fail_pairing(at, caps.initiator);
+        };
+        let exchange = Exchange {
+            caps,
+            own_x,
+            peer_x: x,
+            dhkey,
+        };
+        let Some(own_y) = responder_y else {
+            // Initiator: wait for the responder's commitment.
+            return Procedure::AwaitCommitment { exchange };
+        };
+        // Responder: send our key, then commit to a fresh nonce.
+        let nonce = self.rand128();
+        // Cb = f1(PKbx, PKax, Nb, 0) — responder key first, per spec.
+        let commitment = ssp::f1(&own_x, &x, &nonce, 0);
+        self.send_lmp(at.peer, LmpPdu::PublicKey { x: own_x, y: own_y });
+        self.send_lmp(at.peer, LmpPdu::Commitment { value: commitment });
+        Procedure::AwaitNonce {
+            exchange,
+            nonce,
+            commitment: None,
+        }
+    }
+
+    fn on_peer_commitment(&mut self, at: LinkId, p: Procedure, value: [u8; 16]) -> Procedure {
+        let Procedure::AwaitCommitment { exchange } = p else {
+            return p;
+        };
+        // Initiator now discloses its nonce.
+        let nonce = self.rand128();
+        self.send_lmp(at.peer, LmpPdu::Nonce { value: nonce });
+        Procedure::AwaitNonce {
+            exchange,
+            nonce,
+            commitment: Some(value),
+        }
+    }
+
+    /// The peer's nonce completes the transcript: compute the numeric value
+    /// and ask the host for confirmation.
+    ///
+    /// The controller *always* raises `HCI_User_Confirmation_Request`; the
+    /// host decides (per Fig 7 policy and spec generation) whether a human
+    /// sees anything. That mirrors real stacks, where Just Works popups are
+    /// host policy.
+    fn on_peer_nonce(&mut self, at: LinkId, p: Procedure, peer_nonce: [u8; 16]) -> Procedure {
+        let Procedure::AwaitNonce {
+            exchange,
+            nonce,
+            commitment,
+        } = p
+        else {
+            return p;
+        };
+        match commitment {
+            // Initiator: verify the responder's commitment now that Nb is known.
+            Some(commitment) => {
+                if ssp::f1(&exchange.peer_x, &exchange.own_x, &peer_nonce, 0) != commitment {
+                    return self.fail_pairing(at, exchange.caps.initiator);
+                }
+            }
+            // Responder received Na; reply with Nb.
+            None => self.send_lmp(at.peer, LmpPdu::Nonce { value: nonce }),
+        }
+        let addrs = (self.config.bd_addr, at.peer);
+        let transcript = Transcript::new(exchange, (nonce, peer_nonce), addrs);
+        self.start_lmp_timer(at.peer);
+        self.emit_event(Event::UserConfirmationRequest {
+            bd_addr: at.peer,
+            numeric_value: transcript.numeric(),
+        });
+        Procedure::AwaitConfirmation {
+            transcript,
+            local: false,
+            peer: false,
+        }
+    }
+
+    /// A confirmation from the local host (`by_host`) or from the peer.
+    /// Each side answers once; when both accepted, the initiator sends its
+    /// DHKey check and the responder waits for it.
+    fn on_confirmation(
+        &mut self,
+        at: LinkId,
+        p: Procedure,
+        by_host: bool,
+        accepted: bool,
+    ) -> Procedure {
+        let Procedure::AwaitConfirmation {
+            transcript,
+            local,
+            peer,
+        } = p
+        else {
+            return p;
+        };
+        let answered = if by_host { local } else { peer };
+        if answered {
+            return p;
+        }
+        if by_host {
+            let pdu = match accepted {
+                true => LmpPdu::NumericAccepted,
+                false => LmpPdu::NumericRejected,
+            };
+            self.send_lmp(at.peer, pdu);
+        }
+        if !accepted {
+            return self.fail_pairing(at, transcript.initiator);
+        }
+        let (local, peer) = (local || by_host, peer || !by_host);
+        if !(local && peer) {
+            return Procedure::AwaitConfirmation {
+                transcript,
+                local,
+                peer,
+            };
+        }
+        if transcript.initiator {
+            let value = transcript.dhkey_check(&transcript.own, &transcript.peer);
+            self.send_lmp(at.peer, LmpPdu::DhkeyCheck { value });
+        }
+        Procedure::AwaitDhkeyCheck { transcript }
+    }
+
+    fn on_dhkey_check(&mut self, at: LinkId, p: Procedure, value: [u8; 16]) -> Procedure {
+        let Procedure::AwaitDhkeyCheck { transcript: t } = p else {
+            return p;
+        };
+        if value != t.dhkey_check(&t.peer, &t.own) {
+            return self.fail_pairing(at, t.initiator);
+        }
+        if !t.initiator {
+            // Responder verified the initiator's check; send our own back.
+            let value = t.dhkey_check(&t.own, &t.peer);
+            self.send_lmp(at.peer, LmpPdu::DhkeyCheck { value });
+        }
+        let (key, key_type) = t.link_key();
+        if let Some(link) = self.links.get_mut(&at.peer) {
+            link.session_key = Some(key);
+        }
+        self.cancel_lmp_timer(at.peer);
+        self.close_auth_span(at.peer, "ok");
+        self.emit_event(Event::SimplePairingComplete {
+            status: StatusCode::Success,
+            bd_addr: at.peer,
+        });
+        self.emit_event(Event::LinkKeyNotification {
+            bd_addr: at.peer,
+            link_key: key,
+            key_type,
+        });
+        if t.initiator {
+            self.emit_event(Event::AuthenticationComplete {
+                status: StatusCode::Success,
+                handle: at.handle,
+            });
+        }
+        Procedure::Idle
+    }
+
+    /// Ends a pairing that failed a check or that a user rejected.
+    fn fail_pairing(&mut self, at: LinkId, initiator: bool) -> Procedure {
+        let reason = StatusCode::AuthenticationFailure;
+        self.cancel_lmp_timer(at.peer);
+        self.close_auth_span(at.peer, "failed");
+        self.emit_event(Event::SimplePairingComplete {
+            status: reason,
+            bd_addr: at.peer,
+        });
+        if initiator {
+            self.emit_event(Event::AuthenticationComplete {
+                status: reason,
+                handle: at.handle,
+            });
+        }
+        Procedure::Idle
+    }
+
+    // --- legacy PIN pairing -----------------------------------------------
+
+    /// The host supplied a PIN for a legacy pairing: derive the
+    /// initialization key and send our masked combination-key contribution.
+    fn on_host_pin(&mut self, at: LinkId, p: Procedure, pin: &[u8]) -> Procedure {
+        match p {
+            Procedure::LegacyPin(mut legacy)
+                if legacy.own.is_none() && (1..=16).contains(&pin.len()) =>
+            {
+                // The claimant of E22 is the pairing responder's address.
+                let claimant = if legacy.initiator {
+                    at.peer
+                } else {
+                    self.config.bd_addr
+                };
+                let k_init = e1::e22(&legacy.in_rand, pin, claimant);
+                let lk_rand = self.rand128();
+                let masked = xor16(&lk_rand, &k_init.to_bytes());
+                self.send_lmp(at.peer, LmpPdu::LegacyCombKey { value: masked });
+                legacy.own = Some((k_init, lk_rand));
+                self.legacy_step(at, legacy)
+            }
+            p => p,
+        }
+    }
+
+    /// Completes a legacy pairing once both contributions are in: the
+    /// combination key is `E21(LK_RAND_a, addr_a) XOR E21(LK_RAND_b,
+    /// addr_b)` with initiator-first ordering.
+    fn legacy_step(&mut self, at: LinkId, legacy: Legacy) -> Procedure {
+        let (Some((k_init, own_lk_rand)), Some(peer_comb)) = (legacy.own, legacy.peer_comb) else {
+            return Procedure::LegacyPin(legacy);
+        };
+        let own_addr = self.config.bd_addr;
+        let peer_lk_rand = xor16(&peer_comb, &k_init.to_bytes());
+        let (init_rand, init_addr, resp_rand, resp_addr) = if legacy.initiator {
+            (own_lk_rand, own_addr, peer_lk_rand, at.peer)
+        } else {
+            (peer_lk_rand, at.peer, own_lk_rand, own_addr)
+        };
+        let ka = e1::e21(&init_rand, init_addr);
+        let kb = e1::e21(&resp_rand, resp_addr);
+        let key = LinkKey::new(xor16(&ka.to_bytes(), &kb.to_bytes()));
+        if let Some(link) = self.links.get_mut(&at.peer) {
+            link.session_key = Some(key);
+        }
+        self.emit_event(Event::LinkKeyNotification {
+            bd_addr: at.peer,
+            link_key: key,
+            key_type: LinkKeyType::Combination,
+        });
+        // Mutual authentication follows: the initiator challenges with the
+        // brand-new key, which doubles as a derivation cross-check (a PIN
+        // mismatch surfaces as an authentication failure here).
+        if legacy.initiator {
+            self.challenge(at.peer, key)
+        } else {
+            self.close_auth_span(at.peer, "ok");
+            Procedure::Idle
         }
     }
 
@@ -702,9 +1039,7 @@ impl Controller {
         };
         match pdu {
             LmpPdu::ConnectionAccepted => {
-                if let Some(link) = self.links.get_mut(&from) {
-                    link.awaiting_accept = false;
-                    let handle = link.handle;
+                if let Some(handle) = self.links.get(&from).map(|l| l.handle) {
                     self.emit_event(Event::ConnectionComplete {
                         status: StatusCode::Success,
                         handle,
@@ -724,169 +1059,88 @@ impl Controller {
                 }
             }
             LmpPdu::AuthChallenge { rand } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                if let Some(key) = link.session_key {
-                    let zero = [0u8; 16];
-                    let (sres, aco) = ssp::secure_authentication_response(
-                        &key,
-                        from,
-                        self.config.bd_addr,
-                        &rand,
-                        &zero,
-                    );
-                    link.auth = AuthPhase::Complete;
-                    link.aco = Some(aco);
-                    self.send_lmp(from, LmpPdu::AuthResponse { sres });
-                } else {
-                    link.auth = AuthPhase::AwaitHostKeyForChallenge { rand };
-                    self.open_auth_span(from);
-                    self.emit_event(Event::LinkKeyRequest { bd_addr: from });
-                }
+                self.advance(from, |c, at, p| c.on_challenge(at, p, rand));
             }
             LmpPdu::AuthResponse { sres } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                if let AuthPhase::AwaitResponse { expected_sres, .. } = &link.auth {
-                    let handle = link.handle;
-                    if sres == *expected_sres {
-                        link.auth = AuthPhase::Complete;
-                        self.cancel_lmp_timer(from);
-                        self.close_auth_span(from, "ok");
-                        self.emit_event(Event::AuthenticationComplete {
-                            status: StatusCode::Success,
-                            handle,
-                        });
-                    } else {
-                        self.links.remove(&from);
-                        self.cancel_lmp_timer(from);
-                        self.close_auth_span(from, "failed");
-                        self.send_lmp(
-                            from,
-                            LmpPdu::Detach {
-                                reason: StatusCode::AuthenticationFailure,
-                            },
-                        );
-                        self.emit_event(Event::AuthenticationComplete {
-                            status: StatusCode::AuthenticationFailure,
-                            handle,
-                        });
-                        self.emit_event(Event::DisconnectionComplete {
-                            status: StatusCode::Success,
-                            handle,
-                            reason: StatusCode::AuthenticationFailure,
-                        });
-                    }
+                self.advance(from, |c, at, p| c.on_peer_sres(at, p, sres));
+            }
+            // A rejection ends whatever procedure is running.
+            LmpPdu::AuthReject { reason } => self.advance(from, |c, at, p| {
+                if !matches!(p, Procedure::Idle) {
+                    c.cancel_lmp_timer(at.peer);
+                    c.close_auth_span(at.peer, "rejected");
+                    c.emit_event(Event::AuthenticationComplete {
+                        status: reason,
+                        handle: at.handle,
+                    });
                 }
-            }
-            LmpPdu::AuthReject { reason } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                let handle = link.handle;
-                link.auth = AuthPhase::Idle;
-                self.cancel_lmp_timer(from);
-                self.close_auth_span(from, "rejected");
-                self.emit_event(Event::AuthenticationComplete {
-                    status: reason,
-                    handle,
-                });
-            }
+                Procedure::Idle
+            }),
             LmpPdu::IoCapRequest {
                 io_capability,
                 auth_requirements,
-            } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                link.ssp.initiator = false;
-                link.ssp.peer_io = Some(io_capability);
-                link.ssp.peer_auth_req = auth_requirements;
-                link.ssp.phase = SspPhase::AwaitHostIoCap;
-                self.open_auth_span(from);
-                self.emit_event(Event::IoCapabilityRequest { bd_addr: from });
-            }
+            } => self.advance(from, |c, at, p| match p {
+                Procedure::Idle => {
+                    c.open_auth_span(at.peer);
+                    c.emit_event(Event::IoCapabilityRequest { bd_addr: at.peer });
+                    let peer = IoCaps {
+                        io: io_capability,
+                        auth_req: auth_requirements,
+                    };
+                    Procedure::AwaitHostIoCap { peer: Some(peer) }
+                }
+                p => p,
+            }),
             LmpPdu::IoCapResponse {
                 io_capability,
                 auth_requirements,
             } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
+                let peer = IoCaps {
+                    io: io_capability,
+                    auth_req: auth_requirements,
                 };
-                if link.ssp.phase != SspPhase::AwaitIoCapResponse {
-                    return;
-                }
-                link.ssp.peer_io = Some(io_capability);
-                link.ssp.peer_auth_req = auth_requirements;
-                link.ssp.phase = SspPhase::AwaitPublicKey;
-                self.emit_event(Event::IoCapabilityResponse {
-                    bd_addr: from,
-                    io_capability,
-                    oob_data_present: false,
-                    auth_requirements,
-                });
-                // Generate and send our public key.
-                let keypair = self.generate_keypair();
-                let (x, y) = public_key_bytes(&keypair);
-                if let Some(link) = self.links.get_mut(&from) {
-                    link.ssp.keypair = Some(keypair);
-                }
-                self.start_lmp_timer(from);
-                self.send_lmp(from, LmpPdu::PublicKey { x, y });
+                self.advance(from, |c, at, p| c.on_peer_io_cap(at, p, peer));
             }
-            LmpPdu::PublicKey { x, y } => self.on_peer_public_key(now, from, x, y, dh),
+            LmpPdu::PublicKey { x, y } => {
+                self.advance(from, |c, at, p| c.on_peer_public_key(at, p, (x, y), dh));
+            }
             LmpPdu::Commitment { value } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                if link.ssp.phase != SspPhase::AwaitCommitment {
-                    return;
-                }
-                link.ssp.peer_commitment = Some(value);
-                // Initiator now discloses its nonce.
-                let nonce = self.generate_nonce();
-                if let Some(link) = self.links.get_mut(&from) {
-                    link.ssp.own_nonce = Some(nonce);
-                    link.ssp.phase = SspPhase::AwaitNonce;
-                }
-                self.send_lmp(from, LmpPdu::Nonce { value: nonce });
+                self.advance(from, |c, at, p| c.on_peer_commitment(at, p, value));
             }
-            LmpPdu::Nonce { value } => self.on_peer_nonce(from, value),
+            LmpPdu::Nonce { value } => {
+                self.advance(from, |c, at, p| c.on_peer_nonce(at, p, value));
+            }
             LmpPdu::NumericAccepted => {
-                if let Some(link) = self.links.get_mut(&from) {
-                    link.ssp.peer_confirmed = true;
-                }
-                self.maybe_send_dhkey_check(from);
+                self.advance(from, |c, at, p| c.on_confirmation(at, p, false, true));
             }
             LmpPdu::NumericRejected => {
-                self.abort_pairing(from, StatusCode::AuthenticationFailure);
+                self.advance(from, |c, at, p| c.on_confirmation(at, p, false, false));
             }
-            LmpPdu::DhkeyCheck { value } => self.on_dhkey_check(from, value),
-            LmpPdu::LegacyInRand { rand } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                link.legacy.active = true;
-                link.legacy.initiator = false;
-                link.legacy.in_rand = Some(rand);
-                self.open_auth_span(from);
-                self.emit_event(Event::PinCodeRequest { bd_addr: from });
+            LmpPdu::DhkeyCheck { value } => {
+                self.advance(from, |c, at, p| c.on_dhkey_check(at, p, value));
             }
-            LmpPdu::LegacyCombKey { value } => {
-                let Some(link) = self.links.get_mut(&from) else {
-                    return;
-                };
-                if !link.legacy.active {
-                    return;
+            LmpPdu::LegacyInRand { rand } => self.advance(from, |c, at, p| match p {
+                Procedure::Idle => {
+                    c.open_auth_span(at.peer);
+                    c.emit_event(Event::PinCodeRequest { bd_addr: at.peer });
+                    Procedure::LegacyPin(Legacy {
+                        initiator: false,
+                        in_rand: rand,
+                        own: None,
+                        peer_comb: None,
+                    })
                 }
-                link.legacy.peer_comb = Some(value);
-                self.maybe_finish_legacy(from);
-            }
+                p => p,
+            }),
+            LmpPdu::LegacyCombKey { value } => self.advance(from, |c, at, p| match p {
+                Procedure::LegacyPin(mut legacy) if legacy.peer_comb.is_none() => {
+                    legacy.peer_comb = Some(value);
+                    c.legacy_step(at, legacy)
+                }
+                p => p,
+            }),
             LmpPdu::EncryptionMode { enable } => {
-                if let Some(link) = self.links.get(&from) {
-                    let handle = link.handle;
+                if let Some(handle) = self.links.get(&from).map(|l| l.handle) {
                     self.apply_encryption(from, enable);
                     self.emit_event(Event::EncryptionChange {
                         status: StatusCode::Success,
@@ -912,78 +1166,6 @@ impl Controller {
         }
     }
 
-    /// The host supplied a PIN for a legacy pairing: derive the
-    /// initialization key and send our masked combination-key contribution.
-    fn on_host_pin(&mut self, peer: BdAddr, pin: &[u8]) {
-        let own_addr = self.config.bd_addr;
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        if !link.legacy.active || pin.is_empty() || pin.len() > 16 {
-            return;
-        }
-        let Some(in_rand) = link.legacy.in_rand else {
-            return;
-        };
-        // The claimant of E22 is the pairing responder's address.
-        let claimant = if link.legacy.initiator {
-            peer
-        } else {
-            own_addr
-        };
-        let k_init = e1::e22(&in_rand, pin, claimant);
-        let mut lk_rand = [0u8; 16];
-        self.rng.fill(&mut lk_rand);
-        let masked = xor16(&lk_rand, &k_init.to_bytes());
-        let link = self.links.get_mut(&peer).expect("link present");
-        link.legacy.k_init = Some(k_init);
-        link.legacy.own_lk_rand = Some(lk_rand);
-        self.send_lmp(peer, LmpPdu::LegacyCombKey { value: masked });
-        self.maybe_finish_legacy(peer);
-    }
-
-    /// Completes a legacy pairing once both contributions are in: the
-    /// combination key is `E21(LK_RAND_a, addr_a) XOR E21(LK_RAND_b,
-    /// addr_b)` with initiator-first ordering.
-    fn maybe_finish_legacy(&mut self, peer: BdAddr) {
-        let own_addr = self.config.bd_addr;
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        let (Some(k_init), Some(own_lk_rand), Some(peer_comb)) = (
-            link.legacy.k_init,
-            link.legacy.own_lk_rand,
-            link.legacy.peer_comb,
-        ) else {
-            return;
-        };
-        let peer_lk_rand = xor16(&peer_comb, &k_init.to_bytes());
-        let initiator = link.legacy.initiator;
-        let (init_rand, init_addr, resp_rand, resp_addr) = if initiator {
-            (own_lk_rand, own_addr, peer_lk_rand, peer)
-        } else {
-            (peer_lk_rand, peer, own_lk_rand, own_addr)
-        };
-        let ka = e1::e21(&init_rand, init_addr);
-        let kb = e1::e21(&resp_rand, resp_addr);
-        let key = LinkKey::new(xor16(&ka.to_bytes(), &kb.to_bytes()));
-        link.session_key = Some(key);
-        link.legacy = Default::default();
-        self.emit_event(Event::LinkKeyNotification {
-            bd_addr: peer,
-            link_key: key,
-            key_type: LinkKeyType::Combination,
-        });
-        // Mutual authentication follows: the initiator challenges with the
-        // brand-new key, which doubles as a derivation cross-check (a PIN
-        // mismatch surfaces as an authentication failure here).
-        if initiator {
-            self.on_host_key(peer, Some(key));
-        } else {
-            self.close_auth_span(peer, "ok");
-        }
-    }
-
     /// Derives (or clears) the session encryption key for a link via `h3`
     /// over the link key, the central/peripheral addresses and the ACO of
     /// the last authentication (zeros when pairing completed without a
@@ -993,342 +1175,63 @@ impl Controller {
         let Some(link) = self.links.get_mut(&peer) else {
             return;
         };
-        link.encrypted = enable;
-        if !enable {
-            link.encryption_key = None;
-            return;
-        }
-        let Some(key) = link.session_key else {
-            return; // encryption without a key: nothing to derive
+        link.encryption_key = match link.session_key {
+            Some(key) if enable => {
+                let (central, peripheral) = match link.role {
+                    Role::Initiator => (own_addr, peer),
+                    Role::Responder => (peer, own_addr),
+                };
+                Some(ssp::h3(&key, central, peripheral, &link.aco))
+            }
+            // Off, or on without a key: nothing to derive.
+            _ => None,
         };
-        let (central, peripheral) = match link.role {
-            Role::Initiator => (own_addr, peer),
-            Role::Responder => (peer, own_addr),
-        };
-        let mut aco_ext = [0u8; 8];
-        if let Some(aco) = link.aco {
-            aco_ext.copy_from_slice(&aco);
-        }
-        link.encryption_key = Some(ssp::h3(&key, central, peripheral, &aco_ext));
     }
 
     /// The session encryption key in force on the link to `peer`, if
     /// encryption is enabled. Read by the simulation's air-sniffer tap to
     /// produce genuine over-the-air ciphertext.
     pub fn encryption_key(&self, peer: BdAddr) -> Option<[u8; 16]> {
-        self.links
-            .get(&peer)
-            .filter(|l| l.encrypted)
-            .and_then(|l| l.encryption_key)
+        self.links.get(&peer).and_then(|l| l.encryption_key)
     }
 
-    fn generate_keypair(&mut self) -> KeyPair {
+    /// Draws a P-256 key pair and its public coordinates (big-endian).
+    fn generate_keypair(&mut self) -> (KeyPair, [u8; 32], [u8; 32]) {
         loop {
             let mut bytes = [0u8; 32];
             self.rng.fill(&mut bytes);
+            // A valid key pair's public point is never at infinity.
             if let Ok(kp) = KeyPair::from_rng_bytes(bytes) {
-                return kp;
+                if let Point::Affine { x, y } = kp.public() {
+                    return (kp, x.to_be_bytes(), y.to_be_bytes());
+                }
             }
         }
     }
 
-    fn generate_nonce(&mut self) -> [u8; 16] {
-        let mut nonce = [0u8; 16];
-        self.rng.fill(&mut nonce);
-        nonce
+    /// Draws 128 random bits: a nonce, `IN_RAND`, `LK_RAND` or `AU_RAND`.
+    fn rand128(&mut self) -> [u8; 16] {
+        let mut value = [0u8; 16];
+        self.rng.fill(&mut value);
+        value
     }
+}
 
-    fn on_peer_public_key(
-        &mut self,
-        _now: Instant,
-        from: BdAddr,
-        x: [u8; 32],
-        y: [u8; 32],
-        dh: &mut DhMemo,
-    ) {
-        let Some(link) = self.links.get_mut(&from) else {
-            return;
-        };
-        if link.ssp.phase != SspPhase::AwaitPublicKey {
-            return;
-        }
-        // Invalid-curve defence: validate before using.
-        let point = Point::Affine {
-            x: U256::from_be_bytes(x),
-            y: U256::from_be_bytes(y),
-        };
-        if !point.is_on_curve() {
-            self.abort_pairing(from, StatusCode::AuthenticationFailure);
-            return;
-        }
-        link.ssp.peer_pk_x = Some(x);
-        link.ssp.peer_pk_y = Some(y);
-        let initiator = link.ssp.initiator;
-
-        if initiator {
-            // We already sent ours; compute DHKey and wait for commitment.
-            let keypair = link.ssp.keypair.clone().expect("initiator has keypair");
-            let dhkey = dh
-                .diffie_hellman(&keypair, &point)
-                .expect("validated public key");
-            let link = self.links.get_mut(&from).expect("link present");
-            link.ssp.dhkey = Some(dhkey);
-            link.ssp.phase = SspPhase::AwaitCommitment;
-        } else {
-            // Responder: send our key, then commit to a fresh nonce.
-            let keypair = self.generate_keypair();
-            let dhkey = dh
-                .diffie_hellman(&keypair, &point)
-                .expect("validated public key");
-            let (own_x, own_y) = public_key_bytes(&keypair);
-            let nonce = self.generate_nonce();
-            // Cb = f1(PKbx, PKax, Nb, 0) — responder key first, per spec.
-            let commitment = ssp::f1(&own_x, &x, &nonce, 0);
-            let link = self.links.get_mut(&from).expect("link present");
-            link.ssp.keypair = Some(keypair);
-            link.ssp.dhkey = Some(dhkey);
-            link.ssp.own_nonce = Some(nonce);
-            link.ssp.phase = SspPhase::AwaitNonce;
-            self.send_lmp(from, LmpPdu::PublicKey { x: own_x, y: own_y });
-            self.send_lmp(from, LmpPdu::Commitment { value: commitment });
-        }
-    }
-
-    fn on_peer_nonce(&mut self, from: BdAddr, value: [u8; 16]) {
-        let Some(link) = self.links.get_mut(&from) else {
-            return;
-        };
-        if link.ssp.phase != SspPhase::AwaitNonce {
-            return;
-        }
-        link.ssp.peer_nonce = Some(value);
-        let initiator = link.ssp.initiator;
-
-        if initiator {
-            // Verify the responder's commitment now that Nb is known.
-            let own_x = {
-                let kp = link.ssp.keypair.as_ref().expect("keypair");
-                public_key_bytes(kp).0
-            };
-            let peer_x = link.ssp.peer_pk_x.expect("peer pk");
-            let expected = ssp::f1(&peer_x, &own_x, &value, 0);
-            if link.ssp.peer_commitment != Some(expected) {
-                self.abort_pairing(from, StatusCode::AuthenticationFailure);
-                return;
-            }
-            self.enter_confirmation(from);
-        } else {
-            // Responder received Na; reply with Nb, then confirm.
-            let own_nonce = link.ssp.own_nonce.expect("responder nonce");
-            self.send_lmp(from, LmpPdu::Nonce { value: own_nonce });
-            self.enter_confirmation(from);
-        }
-    }
-
-    /// Computes the numeric value and asks the host for confirmation.
-    ///
-    /// The controller *always* raises `HCI_User_Confirmation_Request`; the
-    /// host decides (per Fig 7 policy and spec generation) whether a human
-    /// sees anything. That mirrors real stacks, where Just Works popups are
-    /// host policy.
-    fn enter_confirmation(&mut self, peer: BdAddr) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        link.ssp.phase = SspPhase::AwaitConfirmation;
-        let own_x = public_key_bytes(link.ssp.keypair.as_ref().expect("keypair")).0;
-        let peer_x = link.ssp.peer_pk_x.expect("peer pk");
-        let own_nonce = link.ssp.own_nonce.expect("nonce");
-        let peer_nonce = link.ssp.peer_nonce.expect("peer nonce");
-        // g(PKax, PKbx, Na, Nb) with initiator-first ordering on both sides.
-        let numeric = if link.ssp.initiator {
-            ssp::g(&own_x, &peer_x, &own_nonce, &peer_nonce)
-        } else {
-            ssp::g(&peer_x, &own_x, &peer_nonce, &own_nonce)
-        };
-        self.start_lmp_timer(peer);
-        self.emit_event(Event::UserConfirmationRequest {
-            bd_addr: peer,
-            numeric_value: numeric,
-        });
-    }
-
-    fn maybe_send_dhkey_check(&mut self, peer: BdAddr) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        if link.ssp.phase != SspPhase::AwaitConfirmation {
-            return;
-        }
-        if !(link.ssp.local_confirmed && link.ssp.peer_confirmed) {
-            return;
-        }
-        link.ssp.phase = SspPhase::AwaitDhkeyCheck;
-        if link.ssp.initiator {
-            let check = self.compute_own_dhkey_check(peer);
-            if let Some(link) = self.links.get_mut(&peer) {
-                link.ssp.check_sent = true;
-            }
-            self.send_lmp(peer, LmpPdu::DhkeyCheck { value: check });
-        }
-        // The responder waits for the initiator's check first.
-    }
-
-    fn compute_own_dhkey_check(&mut self, peer: BdAddr) -> [u8; 16] {
-        let link = self.links.get(&peer).expect("link present");
-        let dhkey = link.ssp.dhkey.expect("dhkey");
-        let own_nonce = link.ssp.own_nonce.expect("nonce");
-        let peer_nonce = link.ssp.peer_nonce.expect("peer nonce");
-        let io = link.ssp.own_io.expect("own io");
-        let io_cap = [io as u8, 0, link.ssp.own_auth_req];
-        let zero = [0u8; 16];
-        ssp::f3(
-            &dhkey,
-            &own_nonce,
-            &peer_nonce,
-            &zero,
-            io_cap,
-            self.config.bd_addr,
-            peer,
-        )
-    }
-
-    fn expected_peer_dhkey_check(&self, peer: BdAddr) -> [u8; 16] {
-        let link = self.links.get(&peer).expect("link present");
-        let dhkey = link.ssp.dhkey.expect("dhkey");
-        let own_nonce = link.ssp.own_nonce.expect("nonce");
-        let peer_nonce = link.ssp.peer_nonce.expect("peer nonce");
-        let io = link.ssp.peer_io.expect("peer io");
-        let io_cap = [io as u8, 0, link.ssp.peer_auth_req];
-        let zero = [0u8; 16];
-        ssp::f3(
-            &dhkey,
-            &peer_nonce,
-            &own_nonce,
-            &zero,
-            io_cap,
-            peer,
-            self.config.bd_addr,
-        )
-    }
-
-    fn on_dhkey_check(&mut self, from: BdAddr, value: [u8; 16]) {
-        let Some(link) = self.links.get(&from) else {
-            return;
-        };
-        if link.ssp.phase != SspPhase::AwaitDhkeyCheck {
-            return;
-        }
-        if value != self.expected_peer_dhkey_check(from) {
-            self.abort_pairing(from, StatusCode::AuthenticationFailure);
-            return;
-        }
-        let link = self.links.get(&from).expect("link present");
-        let initiator = link.ssp.initiator;
-        if !initiator && !link.ssp.check_sent {
-            // Responder verified the initiator's check; send our own back.
-            let check = self.compute_own_dhkey_check(from);
-            if let Some(link) = self.links.get_mut(&from) {
-                link.ssp.check_sent = true;
-            }
-            self.send_lmp(from, LmpPdu::DhkeyCheck { value: check });
-        }
-        self.finish_pairing(from);
-    }
-
-    fn finish_pairing(&mut self, peer: BdAddr) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        let dhkey = link.ssp.dhkey.expect("dhkey");
-        let own_nonce = link.ssp.own_nonce.expect("nonce");
-        let peer_nonce = link.ssp.peer_nonce.expect("peer nonce");
-        let initiator = link.ssp.initiator;
-        let handle = link.handle;
-        let own_io = link.ssp.own_io.expect("own io");
-        let peer_io = link.ssp.peer_io.expect("peer io");
-
-        // f2 over initiator-ordered transcript so both sides agree.
-        let key = if initiator {
-            ssp::f2(&dhkey, &own_nonce, &peer_nonce, self.config.bd_addr, peer)
-        } else {
-            ssp::f2(&dhkey, &peer_nonce, &own_nonce, peer, self.config.bd_addr)
-        };
-        let (init_io, resp_io) = if initiator {
-            (own_io, peer_io)
-        } else {
-            (peer_io, own_io)
-        };
-        let model = AssociationModel::select(init_io, resp_io);
-        let key_type = if model.resists_mitm() {
-            LinkKeyType::AuthenticatedP256
-        } else {
-            LinkKeyType::UnauthenticatedP256
-        };
-
-        link.session_key = Some(key);
-        link.ssp.phase = SspPhase::Complete;
-        link.auth = AuthPhase::Complete;
-        self.cancel_lmp_timer(peer);
-        self.close_auth_span(peer, "ok");
-        self.emit_event(Event::SimplePairingComplete {
-            status: StatusCode::Success,
-            bd_addr: peer,
-        });
-        self.emit_event(Event::LinkKeyNotification {
-            bd_addr: peer,
-            link_key: key,
-            key_type,
-        });
-        if initiator {
-            self.emit_event(Event::AuthenticationComplete {
-                status: StatusCode::Success,
-                handle,
-            });
-        }
-    }
-
-    fn abort_pairing(&mut self, peer: BdAddr, reason: StatusCode) {
-        let Some(link) = self.links.get_mut(&peer) else {
-            return;
-        };
-        let handle = link.handle;
-        let initiator = link.ssp.initiator;
-        let was_pairing = link.ssp.phase != SspPhase::Idle;
-        link.ssp = Default::default();
-        link.auth = AuthPhase::Idle;
-        self.cancel_lmp_timer(peer);
-        self.close_auth_span(peer, "failed");
-        if was_pairing {
-            self.emit_event(Event::SimplePairingComplete {
-                status: reason,
-                bd_addr: peer,
-            });
-            if initiator {
-                self.emit_event(Event::AuthenticationComplete {
-                    status: reason,
-                    handle,
-                });
-            }
-        }
-    }
+/// The link a procedure step runs on.
+#[derive(Clone, Copy)]
+struct LinkId {
+    peer: BdAddr,
+    handle: ConnectionHandle,
 }
 
 fn xor16(a: &[u8; 16], b: &[u8; 16]) -> [u8; 16] {
     core::array::from_fn(|i| a[i] ^ b[i])
 }
 
-fn public_key_bytes(keypair: &KeyPair) -> ([u8; 32], [u8; 32]) {
-    match keypair.public() {
-        Point::Affine { x, y } => (x.to_be_bytes(), y.to_be_bytes()),
-        Point::Infinity => unreachable!("valid keypair public key is affine"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blap_types::ClassOfDevice;
+    use blap_types::{ClassOfDevice, IoCapability};
 
     fn addr(tag: u8) -> BdAddr {
         BdAddr::new([0x10, 0x20, 0x30, 0x40, 0x50, tag])
@@ -1358,6 +1261,8 @@ mod tests {
         b_host: HostScript,
         /// The DHKey memo a world would lend both controllers.
         dh: DhMemo,
+        /// When set, tampers with the LMP traffic it routes.
+        chaos: Option<Chaos>,
     }
 
     #[derive(Clone)]
@@ -1368,6 +1273,8 @@ mod tests {
         confirm_pairing: bool,
         /// The Fig 9 hook: silently drop HCI_Link_Key_Request.
         ignore_link_key_request: bool,
+        /// A user who never answers HCI_User_Confirmation_Request.
+        ignore_user_confirmation: bool,
     }
 
     impl Default for HostScript {
@@ -1378,6 +1285,7 @@ mod tests {
                 accept_connections: true,
                 confirm_pairing: true,
                 ignore_link_key_request: false,
+                ignore_user_confirmation: false,
             }
         }
     }
@@ -1392,6 +1300,7 @@ mod tests {
                 a_host,
                 b_host,
                 dh: DhMemo::new(),
+                chaos: None,
             }
         }
 
@@ -1434,14 +1343,20 @@ mod tests {
                                 }
                             }
                             ControllerOutput::Lmp { pdu, .. } => {
+                                let pdus = match &mut self.chaos {
+                                    Some(chaos) => chaos.tamper(side, pdu),
+                                    None => vec![pdu],
+                                };
                                 // Route to the other side; "from" is the
                                 // sender's claimed address.
-                                if side {
-                                    let from = self.a.bd_addr();
-                                    self.b.on_lmp(now(), from, pdu, &mut self.dh);
-                                } else {
-                                    let from = self.b.bd_addr();
-                                    self.a.on_lmp(now(), from, pdu, &mut self.dh);
+                                for pdu in pdus {
+                                    if side {
+                                        let from = self.a.bd_addr();
+                                        self.b.on_lmp(now(), from, pdu, &mut self.dh);
+                                    } else {
+                                        let from = self.b.bd_addr();
+                                        self.a.on_lmp(now(), from, pdu, &mut self.dh);
+                                    }
                                 }
                             }
                             _ => {}
@@ -1494,6 +1409,7 @@ mod tests {
                         },
                     );
                 }
+                Event::UserConfirmationRequest { .. } if script.ignore_user_confirmation => {}
                 Event::UserConfirmationRequest { bd_addr, .. } => {
                     if script.confirm_pairing {
                         ctrl.on_command(
@@ -1509,6 +1425,14 @@ mod tests {
                 }
                 _ => {}
             }
+        }
+
+        /// a's host asks for authentication on its link to b.
+        fn authenticate(&mut self) {
+            let handle = self.a.link_to(self.b.bd_addr()).expect("link").handle;
+            self.a
+                .on_command(now(), Command::AuthenticationRequested { handle });
+            self.run();
         }
 
         fn keys_delivered(&self) -> (Option<LinkKey>, Option<LinkKey>) {
@@ -1618,10 +1542,7 @@ mod tests {
         );
         pump.connect();
         // Initiate pairing from a.
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         let (key_a, key_b) = pump.keys_delivered();
         let key_a = key_a.expect("initiator derived a key");
@@ -1656,10 +1577,7 @@ mod tests {
         };
         let mut pump = Pump::new(controller(1), controller(2), HostScript::default(), b_host);
         pump.connect();
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         let key_type = pump.a_events.iter().find_map(|e| match e {
             Event::LinkKeyNotification { key_type, .. } => Some(*key_type),
@@ -1681,10 +1599,7 @@ mod tests {
         };
         let mut pump = Pump::new(controller(1), controller(2), a_host, b_host);
         pump.connect();
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         assert!(pump.a_events.iter().any(|e| matches!(
             e,
@@ -1709,10 +1624,7 @@ mod tests {
         };
         let mut pump = Pump::new(controller(1), controller(2), a_host, b_host);
         pump.connect();
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         assert!(pump.a_events.iter().any(|e| matches!(
             e,
@@ -1739,10 +1651,7 @@ mod tests {
         };
         let mut pump = Pump::new(controller(1), controller(2), a_host, b_host);
         pump.connect();
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         // Nothing completed yet — b is stalling.
         assert!(!pump
@@ -1779,10 +1688,7 @@ mod tests {
         };
         let mut pump = Pump::new(controller(1), controller(2), HostScript::default(), b_host);
         pump.connect();
-        let handle = pump.a.link_to(addr(2)).expect("link").handle;
-        pump.a
-            .on_command(now(), Command::AuthenticationRequested { handle });
-        pump.run();
+        pump.authenticate();
 
         assert_eq!(pump.keys_delivered(), (None, None));
         assert!(pump.a_events.iter().any(|e| matches!(
@@ -1839,5 +1745,400 @@ mod tests {
         assert!(outs
             .iter()
             .any(|o| matches!(o, ControllerOutput::Event(Event::InquiryComplete { .. }))));
+    }
+
+    /// Counts a side's events that match `pred`.
+    fn count(events: &[Event], pred: impl Fn(&Event) -> bool) -> usize {
+        events.iter().filter(|e| pred(e)).count()
+    }
+
+    #[test]
+    fn second_pairing_on_a_live_link_waits_for_the_user() {
+        // A finished pairing, then a keyless re-pairing that b's user never
+        // confirms: b must not store a second key.
+        let mut pump = Pump::new(
+            controller(1),
+            controller(2),
+            HostScript::default(),
+            HostScript::default(),
+        );
+        pump.connect();
+        pump.authenticate();
+        let (key_a, key_b) = pump.keys_delivered();
+        assert!(key_a.is_some() && key_a == key_b);
+        pump.b_host.ignore_user_confirmation = true;
+        pump.authenticate();
+        let successes = count(&pump.b_events, |e| {
+            matches!(
+                e,
+                Event::SimplePairingComplete {
+                    status: StatusCode::Success,
+                    ..
+                }
+            )
+        });
+        assert_eq!(successes, 1, "no second Simple_Pairing_Complete(Success)");
+        let notifications = count(&pump.b_events, |e| {
+            matches!(e, Event::LinkKeyNotification { .. })
+        });
+        assert_eq!(notifications, 1, "no second Link_Key_Notification");
+
+        // A retry after b's user rejected the first attempt: once both users
+        // confirm, both ends deliver the same key.
+        let b_host = HostScript {
+            confirm_pairing: false,
+            ..Default::default()
+        };
+        let mut pump = Pump::new(controller(1), controller(2), HostScript::default(), b_host);
+        pump.connect();
+        pump.authenticate();
+        assert_eq!(pump.keys_delivered(), (None, None));
+        pump.b_host.confirm_pairing = true;
+        pump.authenticate();
+        let (key_a, key_b) = pump.keys_delivered();
+        assert!(key_a.is_some(), "the retry completes");
+        assert_eq!(key_a, key_b);
+    }
+
+    #[test]
+    fn stalled_legacy_pairing_times_out() {
+        // a is a pre-2.1 stack; b never answers its PIN_Code_Request.
+        let mut a = controller(1);
+        a.on_command(now(), Command::WriteSimplePairingMode { enabled: false });
+        let mut pump = Pump::new(
+            a,
+            controller(2),
+            HostScript::default(),
+            HostScript::default(),
+        );
+        pump.connect();
+        pump.authenticate();
+        assert_eq!(pump.keys_delivered(), (None, None));
+
+        pump.a.on_timer(
+            now() + timing::LMP_RESPONSE_TIMEOUT,
+            ControllerTimer::LmpResponse { peer: addr(2) },
+        );
+        let outs = pump.a.drain_outputs();
+        assert!(outs.iter().any(|o| matches!(
+            o,
+            ControllerOutput::Lmp {
+                pdu: LmpPdu::Detach {
+                    reason: StatusCode::LmpResponseTimeout
+                },
+                ..
+            }
+        )));
+        assert!(outs.iter().any(|o| matches!(
+            o,
+            ControllerOutput::Event(Event::DisconnectionComplete {
+                reason: StatusCode::LmpResponseTimeout,
+                ..
+            })
+        )));
+        assert_eq!(pump.a.stats().lmp_response_timeouts, 1);
+        assert_eq!(pump.a.links().count(), 0);
+    }
+
+    /// Seeded tampering with the LMP traffic a [`Pump`] routes: drops,
+    /// duplicates, swaps with the next PDU in the same direction, and
+    /// injected random PDUs.
+    struct Chaos {
+        rng: StdRng,
+        /// A PDU per direction held back to swap with the next one.
+        held: [Option<LmpPdu>; 2],
+    }
+
+    impl Chaos {
+        fn new(seed: u64) -> Self {
+            Chaos {
+                rng: StdRng::seed_from_u64(seed),
+                held: [None, None],
+            }
+        }
+
+        /// The PDUs to deliver in place of `pdu`, sent by a when `side`.
+        fn tamper(&mut self, side: bool, pdu: LmpPdu) -> Vec<LmpPdu> {
+            let held = &mut self.held[usize::from(side)];
+            let mut out = Vec::new();
+            match self.rng.gen_range(0..20u32) {
+                0 => {}
+                1 => out.extend([pdu.clone(), pdu]),
+                2 if held.is_none() => *held = Some(pdu),
+                3 => out.extend([random_pdu(&mut self.rng, &[]), pdu]),
+                _ => out.push(pdu),
+            }
+            if !out.is_empty() {
+                out.extend(held.take());
+            }
+            out
+        }
+    }
+
+    /// A random public key: mostly off-curve garbage, sometimes a valid
+    /// point, sometimes one the victim sent itself (reflection).
+    fn public_key(rng: &mut StdRng, seen: &[([u8; 32], [u8; 32])]) -> LmpPdu {
+        if !seen.is_empty() && rng.gen_bool(0.3) {
+            let (x, y) = seen[rng.gen_range(0..seen.len())];
+            return LmpPdu::PublicKey { x, y };
+        }
+        if rng.gen_bool(0.5) {
+            let scalar = blap_crypto::p256::Scalar::from_u64(rng.gen_range(1..1000u64));
+            if let Ok(kp) = KeyPair::from_secret(scalar) {
+                if let Point::Affine { x, y } = kp.public() {
+                    return LmpPdu::PublicKey {
+                        x: x.to_be_bytes(),
+                        y: y.to_be_bytes(),
+                    };
+                }
+            }
+        }
+        LmpPdu::PublicKey {
+            x: rng.gen(),
+            y: rng.gen(),
+        }
+    }
+
+    /// Any LMP PDU, with random payloads.
+    fn random_pdu(rng: &mut StdRng, seen: &[([u8; 32], [u8; 32])]) -> LmpPdu {
+        let io = IoCapability::ALL[rng.gen_range(0..4usize)];
+        let status = [
+            StatusCode::AuthenticationFailure,
+            StatusCode::PinOrKeyMissing,
+            StatusCode::LmpResponseTimeout,
+        ][rng.gen_range(0..3usize)];
+        match rng.gen_range(0..18u32) {
+            0 => LmpPdu::ConnectionAccepted,
+            1 => LmpPdu::ConnectionRejected { reason: status },
+            2 => LmpPdu::AuthChallenge { rand: rng.gen() },
+            3 => LmpPdu::AuthResponse { sres: rng.gen() },
+            4 => LmpPdu::AuthReject { reason: status },
+            5 => LmpPdu::IoCapRequest {
+                io_capability: io,
+                auth_requirements: rng.gen(),
+            },
+            6 => LmpPdu::IoCapResponse {
+                io_capability: io,
+                auth_requirements: rng.gen(),
+            },
+            7 => public_key(rng, seen),
+            8 => LmpPdu::Commitment { value: rng.gen() },
+            9 => LmpPdu::Nonce { value: rng.gen() },
+            10 => LmpPdu::NumericAccepted,
+            11 => LmpPdu::NumericRejected,
+            12 => LmpPdu::DhkeyCheck { value: rng.gen() },
+            13 => LmpPdu::LegacyInRand { rand: rng.gen() },
+            14 => LmpPdu::LegacyCombKey { value: rng.gen() },
+            15 => LmpPdu::EncryptionMode { enable: rng.gen() },
+            16 => LmpPdu::Detach { reason: status },
+            _ => LmpPdu::KeepAlive,
+        }
+    }
+
+    /// Any host reply or request about `peer`'s link.
+    fn random_command(rng: &mut StdRng, c: &Controller, peer: BdAddr) -> Command {
+        let handle = c
+            .link_to(peer)
+            .map_or(ConnectionHandle::new(rng.gen_range(0..4)), |l| l.handle);
+        let bd_addr = peer;
+        match rng.gen_range(0..13u32) {
+            0 => Command::LinkKeyRequestReply {
+                bd_addr,
+                link_key: LinkKey::new(rng.gen()),
+            },
+            1 => Command::LinkKeyRequestNegativeReply { bd_addr },
+            2 => Command::PinCodeRequestReply {
+                bd_addr,
+                pin: (0..rng.gen_range(0..18usize)).map(|_| rng.gen()).collect(),
+            },
+            3 => Command::PinCodeRequestNegativeReply { bd_addr },
+            4 => Command::IoCapabilityRequestReply {
+                bd_addr,
+                io_capability: IoCapability::ALL[rng.gen_range(0..4usize)],
+                oob_data_present: false,
+                auth_requirements: rng.gen(),
+            },
+            5 => Command::UserConfirmationRequestReply { bd_addr },
+            6 => Command::UserConfirmationRequestNegativeReply { bd_addr },
+            7 => Command::AuthenticationRequested { handle },
+            8 => Command::SetConnectionEncryption {
+                handle,
+                enable: rng.gen(),
+            },
+            9 => Command::AcceptConnectionRequest {
+                bd_addr,
+                role_switch: false,
+            },
+            10 => Command::CreateConnection {
+                bd_addr,
+                allow_role_switch: true,
+            },
+            11 => Command::RejectConnectionRequest {
+                bd_addr,
+                reason: StatusCode::PairingNotAllowed,
+            },
+            _ => Command::Disconnect {
+                handle,
+                reason: StatusCode::RemoteUserTerminated,
+            },
+        }
+    }
+
+    /// One input to a controller under test.
+    enum Input {
+        Lmp(LmpPdu),
+        Host(Command),
+        Timer,
+        Repage,
+    }
+
+    /// What an honest peer or host would give `c` next, read off its
+    /// procedure with `peer`, so that random runs also reach the late
+    /// steps; `None` when there is no link.
+    fn honest_input(rng: &mut StdRng, c: &Controller, peer: BdAddr) -> Option<Input> {
+        const NONCE: [u8; 16] = [0x5a; 16];
+        let link = c.link_to(peer)?;
+        let bd_addr = peer;
+        let io = IoCapability::ALL[rng.gen_range(0..4usize)];
+        let input = match &link.procedure {
+            Procedure::Idle => match rng.gen_range(0..4u32) {
+                0 => Input::Host(Command::AuthenticationRequested {
+                    handle: link.handle,
+                }),
+                1 => Input::Lmp(LmpPdu::IoCapRequest {
+                    io_capability: io,
+                    auth_requirements: 3,
+                }),
+                2 => Input::Lmp(LmpPdu::LegacyInRand { rand: rng.gen() }),
+                _ => Input::Lmp(LmpPdu::AuthChallenge { rand: rng.gen() }),
+            },
+            Procedure::AwaitHostKey | Procedure::AwaitHostKeyForChallenge { .. } => {
+                Input::Host(if rng.gen() {
+                    let link_key = LinkKey::new([9; 16]);
+                    Command::LinkKeyRequestReply { bd_addr, link_key }
+                } else {
+                    Command::LinkKeyRequestNegativeReply { bd_addr }
+                })
+            }
+            Procedure::AwaitSres { expected } => Input::Lmp(LmpPdu::AuthResponse {
+                sres: if rng.gen() { *expected } else { rng.gen() },
+            }),
+            Procedure::AwaitHostIoCap { .. } => Input::Host(Command::IoCapabilityRequestReply {
+                bd_addr,
+                io_capability: io,
+                oob_data_present: false,
+                auth_requirements: 3,
+            }),
+            Procedure::AwaitIoCapResponse { .. } => Input::Lmp(LmpPdu::IoCapResponse {
+                io_capability: io,
+                auth_requirements: 3,
+            }),
+            Procedure::AwaitPublicKey { .. } => Input::Lmp(public_key(rng, &[])),
+            Procedure::AwaitCommitment { exchange } => Input::Lmp(LmpPdu::Commitment {
+                value: ssp::f1(&exchange.peer_x, &exchange.own_x, &NONCE, 0),
+            }),
+            Procedure::AwaitNonce { .. } => Input::Lmp(LmpPdu::Nonce { value: NONCE }),
+            Procedure::AwaitConfirmation { .. } => match rng.gen_range(0..5u32) {
+                0 => Input::Host(Command::UserConfirmationRequestNegativeReply { bd_addr }),
+                1 => Input::Lmp(LmpPdu::NumericRejected),
+                2 | 3 => Input::Host(Command::UserConfirmationRequestReply { bd_addr }),
+                _ => Input::Lmp(LmpPdu::NumericAccepted),
+            },
+            Procedure::AwaitDhkeyCheck { transcript: t } => Input::Lmp(LmpPdu::DhkeyCheck {
+                value: t.dhkey_check(&t.peer, &t.own),
+            }),
+            Procedure::LegacyPin(_) => match rng.gen() {
+                true => Input::Host(Command::PinCodeRequestReply {
+                    bd_addr,
+                    pin: b"0000".to_vec(),
+                }),
+                false => Input::Lmp(LmpPdu::LegacyCombKey { value: rng.gen() }),
+            },
+        };
+        Some(input)
+    }
+
+    #[test]
+    fn hostile_sequences_never_panic_or_duplicate_links() {
+        // A hostile peer at the LMP seam: every PDU variant in any order,
+        // off-curve and reflected public keys, random nonces, commitments
+        // and checks, every host reply, timer expiries and re-pages, mixed
+        // with the inputs an honest peer would send at each step.
+        let peer = addr(2);
+        let mut keys = 0;
+        for seed in 0..2000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = controller(1);
+            let enabled = seed % 2 == 0;
+            c.on_command(now(), Command::WriteSimplePairingMode { enabled });
+            let mut dh = DhMemo::new();
+            let mut seen = Vec::new();
+            c.on_incoming_page(now(), peer, ClassOfDevice::SMARTPHONE);
+            for _ in 0..rng.gen_range(5..45usize) {
+                let honest = match rng.gen_bool(0.5) {
+                    true => honest_input(&mut rng, &c, peer),
+                    false => None,
+                };
+                let input = honest.unwrap_or_else(|| match rng.gen_range(0..10u32) {
+                    0..=4 => Input::Lmp(random_pdu(&mut rng, &seen)),
+                    5..=7 => Input::Host(random_command(&mut rng, &c, peer)),
+                    8 => Input::Timer,
+                    _ => Input::Repage,
+                });
+                match input {
+                    Input::Lmp(pdu) => c.on_lmp(now(), peer, pdu, &mut dh),
+                    Input::Host(command) => c.on_command(now(), command),
+                    Input::Timer => c.on_timer(now(), ControllerTimer::LmpResponse { peer }),
+                    Input::Repage => c.on_incoming_page(now(), peer, ClassOfDevice::SMARTPHONE),
+                }
+                for output in c.drain_outputs() {
+                    match output {
+                        ControllerOutput::Lmp {
+                            pdu: LmpPdu::PublicKey { x, y },
+                            ..
+                        } => seen.push((x, y)),
+                        ControllerOutput::Event(Event::LinkKeyNotification { .. }) => keys += 1,
+                        _ => {}
+                    }
+                }
+                let mut handles: Vec<_> = c.links().map(|l| l.handle).collect();
+                assert!(c.links().filter(|l| l.peer == peer).count() <= 1);
+                handles.sort();
+                handles.dedup();
+                assert_eq!(handles.len(), c.links().count(), "seed {seed}");
+            }
+        }
+        assert!(keys > 0, "some runs reach a finished pairing");
+    }
+
+    #[test]
+    fn tampered_pairings_never_deliver_mismatched_keys() {
+        // Honest pairings over a link that drops, duplicates, swaps and
+        // injects PDUs: whenever both ends deliver a key, it is the same.
+        let mut completed = 0;
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let script = |rng: &mut StdRng| HostScript {
+                io_capability: IoCapability::ALL[rng.gen_range(0..4usize)],
+                ..Default::default()
+            };
+            let (a_host, b_host) = (script(&mut rng), script(&mut rng));
+            let mut pump = Pump::new(controller(1), controller(2), a_host, b_host);
+            pump.connect();
+            pump.chaos = Some(Chaos::new(seed));
+            pump.authenticate();
+            let last_key = |events: &[Event]| {
+                events.iter().rev().find_map(|e| match e {
+                    Event::LinkKeyNotification { link_key, .. } => Some(*link_key),
+                    _ => None,
+                })
+            };
+            if let (Some(a), Some(b)) = (last_key(&pump.a_events), last_key(&pump.b_events)) {
+                assert_eq!(a, b, "seed {seed}");
+                completed += 1;
+            }
+            assert!(pump.a.links().count() <= 1 && pump.b.links().count() <= 1);
+        }
+        assert!(completed > 0, "some tampered pairings still complete");
     }
 }

@@ -26,6 +26,9 @@
 //!   derivation (`f2`) and `HCI_Link_Key_Notification` — the event that
 //!   writes the key into the HCI dump.
 //!
+//! Each link runs one typed procedure at a time, and an input outside its
+//! phase leaves it unchanged, so no LMP/HCI sequence can mix two procedures.
+//!
 //! The controller never stores link keys; exactly like real hardware it
 //! requests them from the host (`HCI_Link_Key_Request`) and hands fresh ones
 //! back (`HCI_Link_Key_Notification`) — the two plaintext crossings the BLAP
@@ -33,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod config;
 mod engine;
@@ -41,4 +45,4 @@ pub mod lmp;
 
 pub use config::ControllerConfig;
 pub use engine::{Controller, ControllerOutput, ControllerStats, ControllerTimer, PageOutcome};
-pub use links::{LinkEntry, SspPhase};
+pub use links::LinkEntry;

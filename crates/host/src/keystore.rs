@@ -10,10 +10,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use blap_types::{BdAddr, DeviceName, LinkKey, LinkKeyType, ServiceUuid};
-use serde::{Deserialize, Serialize};
 
 /// One stored bond.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BondEntry {
     /// Remote device name, if known.
     pub name: Option<DeviceName>,
@@ -28,7 +27,7 @@ pub struct BondEntry {
 /// The bond database of one host.
 ///
 /// Keys are ordered (`BTreeMap`) so serialization is deterministic.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyStore {
     entries: BTreeMap<BdAddr, BondEntry>,
 }

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseAddrError;
 
 /// A 48-bit Bluetooth device address (`BD_ADDR`).
@@ -32,7 +30,7 @@ use crate::error::ParseAddrError;
 /// assert_eq!(addr.lap(), 0xda710a);
 /// # Ok::<(), blap_types::ParseAddrError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BdAddr([u8; 6]);
 
 impl BdAddr {

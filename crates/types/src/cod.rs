@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 24-bit Class of Device / Service (CoD) word.
 ///
 /// The CoD is broadcast in inquiry responses and tells remote UIs what icon
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// * bits 12..8  — major device class,
 /// * bits 7..2   — minor device class,
 /// * bits 1..0   — format type (always `0b00`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClassOfDevice(u32);
 
 impl ClassOfDevice {
@@ -94,7 +92,7 @@ impl From<u32> for ClassOfDevice {
 }
 
 /// Major device class values (bits 12..8 of the CoD).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MajorDeviceClass {
     /// Miscellaneous.
     Miscellaneous,
@@ -158,7 +156,7 @@ impl fmt::Display for MajorDeviceClass {
 }
 
 /// Major service class bits (bits 23..13 of the CoD).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServiceClass {
     /// Limited discoverable mode flag.
     LimitedDiscoverable,

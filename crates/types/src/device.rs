@@ -3,10 +3,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A human-readable Bluetooth device name (up to 248 UTF-8 bytes).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DeviceName(String);
 
 impl DeviceName {
@@ -68,7 +66,7 @@ impl AsRef<str> for DeviceName {
 /// are the same device — the page blocking attack has the attacker take the
 /// connection-initiator role while the victim takes the pairing-initiator
 /// role.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Role {
     /// The device that started the procedure (sent the page / the
     /// authentication request).
@@ -101,7 +99,7 @@ impl fmt::Display for Role {
 /// Short 16-bit assigned UUIDs (e.g. PANU `0x1115`, NAP `0x1116` — the
 /// tethering profile the paper uses to validate extracted link keys) expand
 /// onto the Bluetooth base UUID `0000xxxx-0000-1000-8000-00805f9b34fb`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServiceUuid(u128);
 
 impl ServiceUuid {

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 12-bit HCI connection handle identifying an ACL link between a host and
 /// its controller.
 ///
 /// Handles appear throughout the paper's HCI dump figures (e.g. `0x0006` in
 /// Fig 12a, `0x0003` in Fig 12b).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionHandle(u16);
 
 impl ConnectionHandle {
@@ -53,7 +51,7 @@ impl From<u16> for ConnectionHandle {
 /// That is why an address-spoofing attacker only has to win the *initial*
 /// page race, and why page blocking (becoming the initiator that assigns the
 /// LT_ADDR) removes the race entirely.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LtAddr(u8);
 
 impl LtAddr {

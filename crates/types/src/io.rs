@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Input/output capability advertised during the SSP IO capability exchange.
 ///
 /// The page blocking attack's downgrade step is simply setting the attacker's
 /// capability to [`IoCapability::NoInputNoOutput`]: the association model
 /// selection (Fig 7) then degenerates to Just Works, whose "numeric
 /// comparison with automatic confirmation" never challenges the attacker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum IoCapability {
     /// Can display a six-digit number but take no input.
@@ -70,7 +68,7 @@ impl fmt::Display for IoCapability {
 }
 
 /// Authentication requirements octet exchanged alongside the IO capability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum AuthRequirements {
     /// No MITM protection required, no bonding.
@@ -136,7 +134,7 @@ impl fmt::Display for AuthRequirements {
 }
 
 /// The SSP association model selected from the two devices' IO capabilities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AssociationModel {
     /// Numeric comparison: both sides display a 6-digit value and confirm.
     NumericComparison,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ParseKeyError;
 
 /// A 128-bit Bluetooth link key.
@@ -29,7 +27,7 @@ use crate::error::ParseKeyError;
 /// assert_eq!(key.to_hex(), "71a70981f30d6af9e20adee8aafe3264");
 /// # Ok::<(), blap_types::ParseKeyError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LinkKey([u8; 16]);
 
 impl LinkKey {
@@ -124,7 +122,7 @@ impl AsRef<[u8]> for LinkKey {
 /// simulation produces [`LinkKeyType::UnauthenticatedP256`] for Just Works
 /// and [`LinkKeyType::AuthenticatedP256`] for Numeric Comparison — the same
 /// distinction a downgrade defender could use (§VII-B of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum LinkKeyType {
     /// Legacy combination key (pre-SSP pairing).

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Bluetooth core specification version implemented by a device.
 ///
 /// The paper's Fig 7 shows that the confirmation-popup policy for Just Works
 /// pairing differs between "v4.2 and lower" and "v5.0 and higher"; the
 /// simulated host uses [`BtVersion::generation`] to pick the policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BtVersion {
     /// Core spec 2.1 + EDR — first version with Secure Simple Pairing.
     V2_1,
@@ -60,7 +58,7 @@ impl fmt::Display for BtVersion {
 }
 
 /// The two popup-policy generations distinguished by Fig 7 of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpecGeneration {
     /// Version 4.2 or lower: no mandated confirmation popup; most
     /// implementations auto-confirm Just Works when acting as the pairing

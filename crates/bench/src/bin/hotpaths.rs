@@ -26,8 +26,8 @@
 //! tables emit never contain wall times, which is why the flag exists).
 //!
 //! Numbers are medians over several timed batches — stable enough to spot
-//! multi-x regressions, not a substitute for the Criterion benches
-//! (`cargo bench -p blap-bench`) when microsecond precision matters.
+//! multi-x regressions. For a cross-layer view of one workload, run
+//! `blap-benchmark`, which breaks each trial down by layer.
 
 use blap::campaign::{Campaign, Population};
 use blap::eavesdrop::decrypt_capture_batched;
@@ -158,7 +158,7 @@ fn main() {
 
     // Batched CCM over the same 64-byte frame shape: full FRAME_LANES
     // chunks (steady state — a ragged tail pays a whole chunk's passes and
-    // is covered by the criterion bench), plaintexts landing in one reused
+    // is left out of this number), plaintexts landing in one reused
     // arena. Per-frame ns and the derived bytes/s floor the compare gate
     // defends.
     const BATCH_FRAMES: usize = 4 * ccm::FRAME_LANES;

@@ -1,9 +1,9 @@
-//! Shared helpers for the BLAP benchmark binaries and Criterion targets.
+//! Shared helpers for the BLAP benchmark binaries.
 //!
 //! The actual experiment logic lives in the `blap` crate; this crate only
 //! holds the entry points that regenerate each table/figure
-//! (`cargo run -p blap-bench --bin <target>`) and the Criterion benches
-//! that time the attack pipeline's components.
+//! (`cargo run -p blap-bench --bin <target>`) and the `hotpaths` timing
+//! binary with its `blap-bench compare` gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

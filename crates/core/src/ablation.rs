@@ -3,7 +3,7 @@
 //! The paper fixes several implementation choices without exploring them
 //! (PLOC hold duration, the keep-alive trick, how fast the user must act);
 //! these sweeps quantify why those choices matter. They back the
-//! `bench_ploc_ablation` Criterion target and the DESIGN.md discussion.
+//! `ablation` binary and the DESIGN.md discussion.
 
 use blap_sim::DeviceProfile;
 use blap_types::Duration;

@@ -26,9 +26,12 @@
 //! [`Host::pair_with`]: an existing ACL link for the target address causes
 //! the host to skip connection establishment and send the pairing request
 //! down whatever link is already there.
+//! The host keeps one typed record per peer; its own request to a peer
+//! survives a link the peer restarts, so the §VII-B check sees it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod association;
 mod config;

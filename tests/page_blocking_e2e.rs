@@ -108,6 +108,24 @@ fn role_check_mitigation_stops_blocking_without_breaking_pairing() {
 }
 
 #[test]
+fn role_check_holds_when_the_user_pairs_mid_page() {
+    // The user pairs 300 ms after A starts paging, so M's own page to C is
+    // still out when A's connection lands. M's pairing request must keep
+    // its initiator role across that inbound connection, or §VII-B misses
+    // the Fig 12b fingerprint and M pairs with A over A's own link.
+    let mut scenario = PageBlockingScenario::new(profiles::galaxy_s8(), 2022);
+    scenario.mitigate_role_check = true;
+    scenario.pairing_delay = Duration::from_millis(300);
+    for trial in 0..20 {
+        let outcome = scenario.run_blocking_trial(trial);
+        assert!(
+            !(outcome.paired_with_attacker && outcome.fig12b_signature),
+            "trial {trial}: {outcome:?}"
+        );
+    }
+}
+
+#[test]
 fn slow_user_needs_the_keepalive() {
     let mut scenario = PageBlockingScenario::new(profiles::iphone_xs(), 467);
     scenario.pairing_delay = Duration::from_secs(30);

@@ -207,3 +207,35 @@ fn user_rejection_leaves_no_bond() {
         .find(|n| matches!(n, UiNotification::PairingComplete { success: false, .. }));
     assert!(failed.is_some(), "declined pairing must fail visibly");
 }
+
+#[test]
+fn a_re_pairing_the_peer_starts_asks_the_user() {
+    // A v4.2 phone pairs with a kit as the initiator: Just Works confirms
+    // itself (Fig 7a), so the declining user is never asked. When the kit
+    // drops its bond and re-pairs over the live link, the phone is the
+    // responder: it asks, the user declines, and the bond stays.
+    let mut world = World::new(102);
+    let mut phone_spec = profiles::nexus_5x_a8().victim_phone(PHONE);
+    phone_spec.user.accept_pairing = false;
+    let phone = world.add_device(phone_spec);
+    let kit = world.add_device(profiles::car_kit(KIT));
+    world.device_mut(phone).host.pair_with(addr(KIT));
+    world.run_for(Duration::from_secs(5));
+    let first = world.device(phone).host.keystore().get(addr(KIT)).cloned();
+    let first = first.expect("phone bonded without a popup");
+    assert!(!world.device(phone).user.saw_pairing_popup());
+
+    world
+        .device_mut(kit)
+        .host
+        .keystore_mut()
+        .remove(addr(PHONE));
+    world.device_mut(kit).host.pair_with(addr(PHONE));
+    world.run_for(Duration::from_secs(5));
+    assert!(
+        world.device(phone).user.saw_pairing_popup(),
+        "a peer-started re-pairing must not confirm itself"
+    );
+    let bond = world.device(phone).host.keystore().get(addr(KIT)).cloned();
+    assert_eq!(bond.expect("bond kept").link_key, first.link_key);
+}

@@ -35,13 +35,17 @@
 //! [`blap_obs::telemetry::TelemetrySnapshot`] as a JSONL line for
 //! `blap-top` to tail-follow. Telemetry is wall-time sidecar data, like
 //! `profile.json`: the metrics artifact and checkpoint stay
-//! byte-identical with it on or off, at any worker count.
+//! byte-identical with it on or off, at any worker count. The worker
+//! utilization lines printed at the end come from the session's final
+//! snapshot; the wall-time profiler runs only under `--profile <prefix>`
+//! or `BLAP_PROF=1`.
 
 use std::time::{Duration, Instant};
 
 use blap::campaign::{Campaign, Population};
 use blap_bench::cli::{self, Args};
-use blap_obs::{json, prof, telemetry, MetaValue, Metrics, ViolationSummary};
+use blap_obs::telemetry::{self, TelemetrySnapshot};
+use blap_obs::{json, MetaValue, Metrics, ViolationSummary};
 
 /// Checkpoint document schema tag.
 const SCHEMA: &str = "blap-campaign-checkpoint-v1";
@@ -112,9 +116,6 @@ fn main() {
     let total_shards = campaign.shard_count();
     let jobs = args.resolve_jobs(usize::MAX);
     args.init_profiling();
-    // Worker accounting is sidecar-only (never a metrics byte), so the
-    // utilization report at the end is free to always be on.
-    prof::set_enabled(true);
 
     println!(
         "== blap-campaign: population {:?}, {trials} trials, {total_shards} shards, seed {seed} ==",
@@ -193,7 +194,7 @@ fn main() {
         swept as f64 / wall.as_secs_f64().max(1e-9),
         jobs.get()
     );
-    print_utilization();
+    print_utilization(telemetry_report.ring.latest());
 
     if next_shard < total_shards {
         println!(
@@ -275,24 +276,32 @@ fn print_summary(campaign: &Campaign, merged: &Metrics) {
     }
 }
 
-/// Prints per-worker busy time and imbalance for the shard pool.
-fn print_utilization() {
-    let report = prof::report();
-    let Some(pool) = report.pool("parallel_map") else {
+/// Prints per-worker shards, busy time and imbalance for the shard pool,
+/// from the telemetry session's final snapshot. Imbalance is a worker's
+/// busy time against the mean over the workers that ran.
+fn print_utilization(snapshot: Option<&TelemetrySnapshot>) {
+    let Some(snapshot) = snapshot.filter(|s| !s.workers.is_empty()) else {
         return;
     };
+    let lanes = snapshot.workers.len() as f64;
+    let mean_busy_ms = snapshot.workers.iter().map(|w| w.busy_ms).sum::<u64>() as f64 / lanes;
     println!(
-        "worker utilization: {:.1}% over {} pool runs",
-        100.0 * pool.utilization(),
-        pool.runs
+        "worker utilization: {:.1}% of {:.2?} wall",
+        100.0 * snapshot.workers.iter().map(|w| w.utilization).sum::<f64>() / lanes,
+        Duration::from_millis(snapshot.wall_ms)
     );
-    for worker in &pool.workers {
+    for worker in &snapshot.workers {
+        let imbalance = if mean_busy_ms > 0.0 {
+            worker.busy_ms as f64 / mean_busy_ms
+        } else {
+            1.0
+        };
         println!(
             "  worker {:>2}: {:>5} shards  {:>8.2?} busy  imbalance {:+.1}%",
             worker.worker,
             worker.tasks,
-            std::time::Duration::from_nanos(worker.busy_ns),
-            100.0 * (worker.imbalance - 1.0),
+            Duration::from_millis(worker.busy_ms),
+            100.0 * (imbalance - 1.0),
         );
     }
 }

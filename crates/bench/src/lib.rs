@@ -71,15 +71,10 @@ fn observed_unit<T>(
     (row, metrics, buffer.contents())
 }
 
-/// Runs the full Table I experiment: one extraction per Table I profile.
-/// Worker count comes from the environment (`BLAP_JOBS`).
-pub fn run_table1(seed: u64) -> Vec<ExtractionReport> {
-    run_table1_with(seed, Jobs::from_env())
-}
-
-/// [`run_table1`] with an explicit worker count. Each profile's scenario
-/// seed is derived from the profile index alone, so the report list is
-/// byte-identical at any parallelism.
+/// Runs the full Table I experiment: one extraction per Table I profile
+/// across `jobs` workers. Each profile's scenario seed is derived from the
+/// profile index alone, so the report list is byte-identical at any
+/// parallelism.
 pub fn run_table1_with(seed: u64, jobs: Jobs) -> Vec<ExtractionReport> {
     let profiles = profiles::table1_profiles();
     parallel_map(jobs, profiles.len(), |i| {
@@ -105,13 +100,8 @@ pub fn run_table1_observed_with(seed: u64, jobs: Jobs) -> Observed<ExtractionRep
     }
 }
 
-/// Runs the full Table II experiment with `trials` per condition per device.
-/// Worker count comes from the environment (`BLAP_JOBS`).
-pub fn run_table2(seed: u64, trials: usize) -> Vec<PageBlockingRow> {
-    run_table2_with(seed, trials, Jobs::from_env())
-}
-
-/// [`run_table2`] with an explicit worker count.
+/// Runs the full Table II experiment with `trials` per condition per
+/// device across `jobs` workers.
 ///
 /// The experiment flattens to (device, trial) units rather than handing
 /// each device row to one worker: rows × trials units keep every worker
@@ -194,7 +184,7 @@ mod tests {
 
     #[test]
     fn table2_driver_produces_rows() {
-        let rows = run_table2(5, 4);
+        let rows = run_table2_with(5, 4, Jobs::new(2));
         assert_eq!(rows.len(), 7);
         for row in rows {
             assert_eq!(row.measured_blocking_rate, 1.0, "{}", row.device);

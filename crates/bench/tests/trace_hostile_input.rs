@@ -1,7 +1,8 @@
-//! `blap-trace check` on hostile JSONL: a line the JSON grammar rejects —
+//! `blap-trace` on hostile JSONL: a line the JSON grammar rejects —
 //! nesting past the reader's depth cap, a signed `\u` escape, a bare
-//! `-` — is a parse error with the documented exit code 2, never a crash
-//! and never a silently accepted line.
+//! `-` — or an `ev` kind the trace schema does not name is an error with
+//! the documented exit code 2, never a crash and never a silently
+//! accepted line.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -14,10 +15,19 @@ fn temp_path(name: &str) -> PathBuf {
 
 /// Runs `blap-trace check` on `trace`, returning its exit code and stderr.
 fn check(name: &str, trace: &str) -> (Option<i32>, String) {
+    blap_trace(&["check"], name, trace)
+}
+
+/// Runs `blap-trace <command> <trace> [extra..]` on `trace` written to a
+/// temporary file, returning the exit code and stderr.
+fn blap_trace(command: &[&str], name: &str, trace: &str) -> (Option<i32>, String) {
     let path = temp_path(name);
     std::fs::write(&path, trace).expect("write trace");
+    let (subcommand, extra) = command.split_first().expect("a subcommand");
     let output = Command::new(env!("CARGO_BIN_EXE_blap-trace"))
-        .args(["check", path.to_str().expect("utf8")])
+        .arg(subcommand)
+        .arg(&path)
+        .args(extra)
         .output()
         .expect("run blap-trace");
     let _ = std::fs::remove_file(&path);
@@ -50,7 +60,28 @@ fn non_rfc_8259_lines_are_parse_errors() {
         assert_eq!(code, Some(2), "{line}: {stderr}");
         assert!(stderr.contains("JSON parse error"), "{line}: {stderr}");
     }
-    // The same shape with valid JSON in the odd member checks clean.
-    let (code, stderr) = check("valid.jsonl", "{\"t\":1,\"ev\":\"x\",\"a\":\"\\u0041\"}\n");
+    // The same shape with valid JSON in the odd member, on a kind the
+    // schema names, checks clean.
+    let (code, stderr) = check(
+        "valid.jsonl",
+        "{\"t\":1,\"ev\":\"warning\",\"a\":\"\\u0041\"}\n",
+    );
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn unknown_event_kinds_are_rejected_by_every_reader() {
+    let trace = "{\"t\":0,\"ev\":\"nonsense\"}\n{\"t\":1,\"ev\":\"nonsense\"}\n";
+    let out = temp_path("unknown-kind.bin");
+    let out = out.to_str().expect("utf8");
+    for command in [&["check"][..], &["timeline"], &["convert", out]] {
+        let (code, stderr) = blap_trace(command, "unknown-kind.jsonl", trace);
+        assert_eq!(code, Some(2), "{command:?}: {stderr}");
+        assert!(stderr.contains("line 1"), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown event kind \"nonsense\""),
+            "{command:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(out);
 }

@@ -22,25 +22,17 @@ pub struct AblationPoint {
     pub success_rate: f64,
 }
 
-/// Sweeps the user's pairing delay with and without keep-alive traffic.
+/// Sweeps the user's pairing delay with and without keep-alive traffic,
+/// across `jobs` workers.
 ///
 /// Expected shape: with keep-alives, success is flat at 100% across
 /// delays; without them, success collapses once the delay crosses the
 /// link supervision timeout (20 s in this simulation) — exactly the
 /// failure mode the paper's dummy-SDP trick exists to prevent.
-pub fn ploc_delay_sweep(
-    victim: DeviceProfile,
-    delays_s: &[u64],
-    trials: usize,
-    seed: u64,
-) -> Vec<AblationPoint> {
-    ploc_delay_sweep_with(victim, delays_s, trials, seed, Jobs::from_env())
-}
-
-/// [`ploc_delay_sweep`] with an explicit worker count. The sweep flattens
-/// to (condition, trial) units so the engine balances work even when one
-/// condition dominates; per-unit seeding makes the output byte-identical
-/// at any parallelism.
+///
+/// The sweep flattens to (condition, trial) units so the engine balances
+/// work even when one condition dominates; per-unit seeding makes the
+/// output byte-identical at any parallelism.
 pub fn ploc_delay_sweep_with(
     victim: DeviceProfile,
     delays_s: &[u64],
@@ -89,12 +81,7 @@ pub fn ploc_delay_sweep_with(
 
 /// Measures baseline race sensitivity: how the attacker's win rate moves
 /// with its latency scale (the calibration knob of
-/// [`blap_baseband::race::PageRaceModel`]).
-pub fn race_scale_sweep(scales: &[f64], trials: usize, seed: u64) -> Vec<(f64, f64)> {
-    race_scale_sweep_with(scales, trials, seed, Jobs::from_env())
-}
-
-/// [`race_scale_sweep`] with an explicit worker count.
+/// [`blap_baseband::race::PageRaceModel`]), across `jobs` workers.
 ///
 /// Each trial draws from its own RNG seeded by [`seed_for`]`(seed, trial)`
 /// rather than one serial stream, which is what makes the flattened
@@ -135,7 +122,7 @@ mod tests {
 
     #[test]
     fn keepalive_flat_no_keepalive_collapses() {
-        let points = ploc_delay_sweep(profiles::galaxy_s8(), &[2, 25], 3, 31);
+        let points = ploc_delay_sweep_with(profiles::galaxy_s8(), &[2, 25], 3, 31, Jobs::new(2));
         let find = |ka: bool, d: u64| {
             points
                 .iter()
@@ -151,7 +138,7 @@ mod tests {
 
     #[test]
     fn race_sweep_is_monotonic() {
-        let sweep = race_scale_sweep(&[0.25, 1.0, 4.0], 4000, 32);
+        let sweep = race_scale_sweep_with(&[0.25, 1.0, 4.0], 4000, 32, Jobs::new(2));
         assert!(sweep[0].1 > sweep[1].1);
         assert!(sweep[1].1 > sweep[2].1);
         assert!((sweep[1].1 - 0.5).abs() < 0.05);

@@ -17,7 +17,9 @@
 //!   run serially, folding each trial world's [`Metrics`] into one
 //!   per-shard bag the moment the world is dropped — no traces are
 //!   buffered, so memory stays bounded by the metric key vocabulary, not
-//!   the trial count.
+//!   the trial count. One shard loop and one wave loop serve both the
+//!   plain path and the invariant-checked one; a checked trial only adds
+//!   its own streaming analyzer.
 //! * **Commutative aggregation.** Per-shard bags merge in shard-index
 //!   order ([`Metrics::merge`] is commutative *and associative*), so
 //!   merging a prefix, checkpointing it to JSON, reloading, and merging
@@ -324,43 +326,33 @@ impl Campaign {
         }
     }
 
-    /// Runs shard `shard` serially, returning its metrics bag. Each trial
-    /// owns its world outright — device state and scheduler heap live and
-    /// die inside this call.
-    pub fn run_shard(&self, shard: u64) -> Metrics {
-        let (start, end) = self.shard_range(shard);
-        let mut metrics = Metrics::new();
-        let tracer = Tracer::disabled();
-        for trial in start..end {
-            self.run_trial(trial, &mut metrics, &tracer);
-        }
-        metrics.inc("campaign.shards");
-        telemetry::record_shard();
-        metrics
-    }
-
     /// How many violations one checked shard reports live on stderr
     /// before suppressing the rest (the [`ViolationSummary`] still counts
     /// them all). Keeps a badly broken campaign from flooding the
     /// terminal at millions of trials.
     pub const MAX_LIVE_VIOLATIONS_PER_SHARD: usize = 8;
 
-    /// [`Campaign::run_shard`] with live invariant checking: every
-    /// trial's trace events stream through a per-trial
-    /// [`blap_obs::StreamAnalyzer`] (retired as the trial completes, so
-    /// memory stays bounded by one trial's span table), violations are
-    /// surfaced on stderr as they are found, and the shard's verdict
-    /// comes back as a [`ViolationSummary`].
+    /// Runs shard `shard` serially, returning its metrics bag and, when
+    /// `checked`, its invariant verdict (an empty summary otherwise). Each
+    /// trial owns its world outright — device state and scheduler heap
+    /// live and die inside this call.
     ///
-    /// The metrics bag is byte-identical to the unchecked
-    /// [`Campaign::run_shard`]: tracing feeds the analyzer only, never
-    /// the metrics (pinned in `tests/parallel_determinism.rs`).
-    pub fn run_shard_checked(&self, shard: u64) -> (Metrics, ViolationSummary) {
+    /// A checked trial streams its trace events through its own
+    /// [`blap_obs::StreamAnalyzer`], retired as the trial completes, so
+    /// memory stays bounded by one trial's span table; violations surface
+    /// on stderr as they are found. Tracing feeds the analyzer only, never
+    /// the metrics, so the bag is byte-identical either way (pinned in
+    /// `tests/parallel_determinism.rs`).
+    fn run_shard(&self, shard: u64, checked: bool) -> (Metrics, ViolationSummary) {
         let (start, end) = self.shard_range(shard);
         let mut metrics = Metrics::new();
         let mut summary = ViolationSummary::new();
         let mut live = 0usize;
         for trial in start..end {
+            if !checked {
+                self.run_trial(trial, &mut metrics, &Tracer::disabled());
+                continue;
+            }
             let tracer = Tracer::new();
             let sink = StreamSink::new();
             tracer.attach(sink.clone());
@@ -385,36 +377,15 @@ impl Campaign {
         (metrics, summary)
     }
 
-    /// Runs shards `[first, last)` across `jobs` workers and merges their
-    /// bags in shard-index order. The partial aggregate of a prefix wave
-    /// merged with the aggregate of the remaining waves equals the whole
-    /// run's aggregate (merge associativity) — the checkpoint/resume
-    /// contract.
-    pub fn run_shards(&self, jobs: Jobs, first: u64, last: u64) -> Metrics {
-        let shards = self.shard_count();
-        assert!(
-            first <= last && last <= shards,
-            "shard wave {first}..{last} out of {shards}"
-        );
-        let bags = runner::parallel_map(jobs, (last - first) as usize, |i| {
-            self.run_shard(first + i as u64)
-        });
-        let mut merged = Metrics::new();
-        for bag in &bags {
-            merged.merge(bag);
-        }
-        merged
-    }
-
-    /// [`Campaign::run_shards`] with live invariant checking: per-shard
-    /// `(Metrics, ViolationSummary)` pairs merge in shard-index order, so
-    /// both aggregates are byte-identical at any worker count and across
-    /// checkpoint/resume splits.
-    pub fn run_shards_checked(
+    /// The one wave loop under [`Campaign::run_shards`] and
+    /// [`Campaign::run_shards_checked`]: shards `[first, last)` across
+    /// `jobs` workers, bags and summaries merged in shard-index order.
+    fn run_wave(
         &self,
         jobs: Jobs,
         first: u64,
         last: u64,
+        checked: bool,
     ) -> (Metrics, ViolationSummary) {
         let shards = self.shard_count();
         assert!(
@@ -422,7 +393,7 @@ impl Campaign {
             "shard wave {first}..{last} out of {shards}"
         );
         let results = runner::parallel_map(jobs, (last - first) as usize, |i| {
-            self.run_shard_checked(first + i as u64)
+            self.run_shard(first + i as u64, checked)
         });
         let mut merged = Metrics::new();
         let mut summary = ViolationSummary::new();
@@ -431,6 +402,28 @@ impl Campaign {
             summary.merge(shard_summary);
         }
         (merged, summary)
+    }
+
+    /// Runs shards `[first, last)` across `jobs` workers and merges their
+    /// bags in shard-index order. The partial aggregate of a prefix wave
+    /// merged with the aggregate of the remaining waves equals the whole
+    /// run's aggregate (merge associativity) — the checkpoint/resume
+    /// contract.
+    pub fn run_shards(&self, jobs: Jobs, first: u64, last: u64) -> Metrics {
+        self.run_wave(jobs, first, last, false).0
+    }
+
+    /// [`Campaign::run_shards`] with live invariant checking of every
+    /// trial. The per-shard summaries merge in shard-index order too, so
+    /// both aggregates are byte-identical at any worker count and across
+    /// checkpoint/resume splits, and the bag equals the unchecked one.
+    pub fn run_shards_checked(
+        &self,
+        jobs: Jobs,
+        first: u64,
+        last: u64,
+    ) -> (Metrics, ViolationSummary) {
+        self.run_wave(jobs, first, last, true)
     }
 
     /// Runs the whole campaign.

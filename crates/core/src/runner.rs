@@ -7,12 +7,17 @@
 //! schedule invisible: [`parallel_map`] over any [`Jobs`] count produces
 //! output byte-identical to the serial loop it replaced, so Table I/II and
 //! the ablation sweeps stay reproducible while scaling across cores.
+//! [`parallel_search_scratch`] is the early-exit variant PIN cracking
+//! uses: ascending chunks with a shared best-candidate bound.
 //!
-//! Workers are plain [`std::thread::scope`] threads pulling unit indices
-//! from an atomic counter (work stealing, no per-unit channel traffic);
-//! results land in index-addressed slots so output order never depends on
-//! completion order. [`parallel_search`] adds the early-exit variant used
-//! by PIN cracking: ascending chunks with a shared best-candidate bound.
+//! Both run on one private worker loop. Workers pull units from an atomic
+//! counter (work stealing, no per-unit channel traffic); one worker runs
+//! inline on the calling thread, more run on [`std::thread::scope`]
+//! threads. `parallel_map` results land in index-addressed slots, so
+//! output order never depends on completion order. The loop is also the
+//! one place a unit's wall time is taken: a single measurement per unit,
+//! only while profiling or telemetry is on, feeds both the telemetry lane
+//! and the `prof` pool table.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -115,20 +120,6 @@ impl Default for Jobs {
     }
 }
 
-impl std::str::FromStr for Jobs {
-    type Err = std::num::ParseIntError;
-    /// Parses a worker count. `"0"` resolves to [`Jobs::default`] — the
-    /// same fallback `BLAP_JOBS=0` gets — rather than silently clamping to
-    /// serial, so the two spellings can never diverge. Prefer
-    /// [`Jobs::resolve_from`] in binaries: it also reports the fallback as
-    /// a warning.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.trim()
-            .parse::<usize>()
-            .map(|n| if n == 0 { Jobs::default() } else { Jobs(n) })
-    }
-}
-
 /// Derives the seed for one unit of an experiment.
 ///
 /// A SplitMix64-style mix: every (experiment, unit) pair lands on an
@@ -155,94 +146,18 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = jobs.get().min(units.max(1));
-    // Snapshot the profiling and telemetry states once per run so a
-    // mid-run toggle can't produce half-accounted pools. Wall-clock
-    // accounting is sidecar-only: it never touches the results, so
-    // determinism is unaffected.
-    let prof_on = prof::enabled();
-    let telemetry_on = telemetry::enabled();
-    let timed = prof_on || telemetry_on;
-    let run_started = prof_on.then(Instant::now);
-    if workers <= 1 {
-        let out: Vec<R> = if timed {
-            let mut out = Vec::with_capacity(units);
-            let mut busy = Duration::ZERO;
-            for i in 0..units {
-                let task_started = Instant::now();
-                out.push(f(i));
-                let took = task_started.elapsed();
-                busy += took;
-                if telemetry_on {
-                    telemetry::record_unit(0, took);
-                }
-            }
-            if prof_on {
-                prof::record_worker("parallel_map", 0, busy, units as u64);
-            }
-            out
-        } else {
-            (0..units).map(f).collect()
-        };
-        if let Some(started) = run_started {
-            prof::record_pool("parallel_map", started.elapsed());
-        }
-        return out;
-    }
     let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    let mut busy = Duration::ZERO;
-                    let mut tasks = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= units {
-                            break;
-                        }
-                        if timed {
-                            let task_started = Instant::now();
-                            done.push((i, f(i)));
-                            let took = task_started.elapsed();
-                            busy += took;
-                            tasks += 1;
-                            if telemetry_on {
-                                telemetry::record_unit(worker, took);
-                            }
-                        } else {
-                            done.push((i, f(i)));
-                        }
-                    }
-                    if prof_on {
-                        prof::record_worker("parallel_map", worker, busy, tasks);
-                        // Drain before the closure returns: thread::scope
-                        // signals completion ahead of TLS destructors, so
-                        // relying on the Drop-merge backstop would race a
-                        // report() right after this join.
-                        prof::drain_thread();
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment worker panicked"))
-            .collect()
-    });
-    if let Some(started) = run_started {
-        prof::record_pool("parallel_map", started.elapsed());
-    }
+    let buckets = run_pool(
+        "parallel_map",
+        jobs.get().min(units),
+        || (),
+        || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < units),
+        |(), i| (i, f(i)),
+    );
     // Reassemble in unit order; completion order is irrelevant.
     let mut slots: Vec<Option<R>> = (0..units).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, r) in bucket {
-            slots[i] = Some(r);
-        }
+    for (i, r) in buckets.into_iter().flatten() {
+        slots[i] = Some(r);
     }
     slots
         .into_iter()
@@ -251,35 +166,19 @@ where
 }
 
 /// Searches `0..total` for the lowest-index hit, scanning in ascending
-/// chunks of `chunk_size` across `jobs` workers.
+/// chunks of `chunk_size` across `jobs` workers, each with its own scratch.
 ///
-/// `search_chunk(start, end)` scans `[start, end)` in ascending order and
-/// returns the first hit as `(global_index, payload)`. Workers claim chunks
-/// in ascending order and skip any chunk that starts at or past the best
-/// hit found so far, so the search ends early — but because the winner is
-/// the *minimum* index over all hits, the result equals the serial scan's
-/// first hit regardless of which worker found what first.
-pub fn parallel_search<R, F>(jobs: Jobs, total: u64, chunk_size: u64, search_chunk: F) -> Option<R>
-where
-    R: Send,
-    F: Fn(u64, u64) -> Option<(u64, R)> + Sync,
-{
-    parallel_search_scratch(
-        jobs,
-        total,
-        chunk_size,
-        || (),
-        |(), start, end| search_chunk(start, end),
-    )
-}
-
-/// [`parallel_search`] with per-worker scratch state.
+/// `search_chunk(scratch, start, end)` scans `[start, end)` in ascending
+/// order and returns the first hit as `(global_index, payload)`. Workers
+/// claim chunks in ascending order and skip any chunk that starts at or
+/// past the best hit found so far, so the search ends early — but because
+/// the winner is the *minimum* index over all hits, the result equals the
+/// serial scan's first hit regardless of which worker found what first.
 ///
-/// `init()` runs once per worker thread (and once total in the serial
-/// path); the resulting value is passed `&mut` to every chunk that worker
-/// scans, so buffers survive chunk boundaries instead of being rebuilt per
-/// chunk. The scratch must not affect the scan's *result* — determinism
-/// across worker counts still comes from the lowest-index-wins rule.
+/// `init()` runs once per worker; the resulting value is passed `&mut` to
+/// every chunk that worker scans, so buffers survive chunk boundaries
+/// instead of being rebuilt per chunk. The scratch must not affect the
+/// scan's *result*.
 pub fn parallel_search_scratch<S, R, I, F>(
     jobs: Jobs,
     total: u64,
@@ -293,105 +192,139 @@ where
     F: Fn(&mut S, u64, u64) -> Option<(u64, R)> + Sync,
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
-    let workers = jobs.get();
-    let prof_on = prof::enabled();
-    let telemetry_on = telemetry::enabled();
-    let timed = prof_on || telemetry_on;
-    let run_started = prof_on.then(Instant::now);
-    if workers <= 1 || total <= chunk_size {
-        // Same accounting contract as the parallel path below: busy time
-        // covers the chunk scans only (scratch `init()` is setup, not
-        // work) and one task per chunk scanned, so serial and parallel
-        // utilization numbers are comparable.
-        let mut scratch = init();
-        let mut busy = Duration::ZERO;
-        let mut chunks_scanned = 0u64;
-        let mut result = None;
-        let mut start = 0u64;
-        while start < total {
-            let end = (start + chunk_size).min(total);
-            let chunk_started = timed.then(Instant::now);
-            let hit = search_chunk(&mut scratch, start, end);
-            if let Some(started) = chunk_started {
-                let took = started.elapsed();
-                busy += took;
-                chunks_scanned += 1;
-                if telemetry_on {
-                    telemetry::record_unit(0, took);
-                }
-            }
-            if let Some((_, payload)) = hit {
-                result = Some(payload);
-                break;
-            }
-            start = end;
-        }
-        if let Some(started) = run_started {
-            prof::record_worker("parallel_search", 0, busy, chunks_scanned);
-            prof::record_pool("parallel_search", started.elapsed());
-        }
-        return result;
-    }
-    let best: Mutex<Option<(u64, R)>> = Mutex::new(None);
+    let n_chunks = total.div_ceil(chunk_size);
     let next_chunk = AtomicU64::new(0);
     let best_index = AtomicU64::new(u64::MAX);
-    let n_chunks = total.div_ceil(chunk_size);
-    std::thread::scope(|scope| {
-        for worker in 0..workers.min(n_chunks as usize) {
-            let (init, search_chunk, next_chunk, best_index, best) =
-                (&init, &search_chunk, &next_chunk, &best_index, &best);
-            scope.spawn(move || {
-                let mut scratch = init();
-                let mut busy = Duration::ZERO;
-                let mut chunks_scanned = 0u64;
-                loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    let start = chunk * chunk_size;
-                    // Chunks ascend, so nothing at or past the current best
-                    // can beat it; this worker is finished.
-                    if start >= best_index.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let end = (start + chunk_size).min(total);
-                    let chunk_started = timed.then(Instant::now);
-                    let hit = search_chunk(&mut scratch, start, end);
-                    if let Some(started) = chunk_started {
-                        let took = started.elapsed();
-                        busy += took;
-                        chunks_scanned += 1;
-                        if telemetry_on {
-                            telemetry::record_unit(worker, took);
-                        }
-                    }
-                    if let Some((index, payload)) = hit {
-                        let mut guard = best.lock().expect("search lock");
-                        if guard.as_ref().map(|(i, _)| index < *i).unwrap_or(true) {
-                            *guard = Some((index, payload));
-                            best_index.fetch_min(index, Ordering::Release);
-                        }
-                    }
+    let best: Mutex<Option<(u64, R)>> = Mutex::new(None);
+    run_pool(
+        "parallel_search",
+        jobs.get().min(n_chunks as usize),
+        init,
+        || {
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= n_chunks {
+                return None;
+            }
+            // Chunks ascend, so nothing at or past the current best can
+            // beat it; this worker is finished.
+            let start = chunk * chunk_size;
+            (start < best_index.load(Ordering::Acquire))
+                .then(|| (start, (start + chunk_size).min(total)))
+        },
+        |scratch, (start, end)| {
+            if let Some((index, payload)) = search_chunk(scratch, start, end) {
+                let mut best = best.lock().expect("search lock");
+                if best.as_ref().is_none_or(|(i, _)| index < *i) {
+                    *best = Some((index, payload));
+                    best_index.fetch_min(index, Ordering::Release);
                 }
-                if prof_on {
-                    prof::record_worker("parallel_search", worker, busy, chunks_scanned);
-                    prof::drain_thread();
-                }
-            });
-        }
-    });
-    if let Some(started) = run_started {
-        prof::record_pool("parallel_search", started.elapsed());
-    }
+            }
+        },
+    );
     best.into_inner()
         .expect("search lock")
         .map(|(_, payload)| payload)
 }
 
+/// The one worker loop under both pools. Each of `workers` workers builds
+/// its scratch with `init`, then runs units from `claim` through `run`
+/// until `claim` says none are left, and hands back the outputs in the
+/// order it ran them. With `workers` ≤ 1 one worker runs inline on the
+/// calling thread; more run on [`std::thread::scope`] threads.
+///
+/// Accounting is sidecar-only and never touches a result, so determinism
+/// is unaffected. The profiling and telemetry states are read once, at
+/// pool start, so a mid-run toggle cannot half-account a pool; with both
+/// off no clock is read. Otherwise each unit is timed once, and that one
+/// measurement feeds both the worker's telemetry lane and its busy total
+/// in the `pool` table: one task per unit, with `init` outside busy time
+/// but inside the pool's wall envelope.
+fn run_pool<S, U, O>(
+    pool: &'static str,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    claim: impl Fn() -> Option<U> + Sync,
+    run: impl Fn(&mut S, U) -> O + Sync,
+) -> Vec<Vec<O>>
+where
+    O: Send,
+{
+    let prof_on = prof::enabled();
+    let telemetry_on = telemetry::enabled();
+    let timed = prof_on || telemetry_on;
+    let pool_started = prof_on.then(Instant::now);
+    let work = |worker: usize| {
+        let mut scratch = init();
+        let mut done = Vec::new();
+        let mut busy = Duration::ZERO;
+        while let Some(unit) = claim() {
+            let unit_started = timed.then(Instant::now);
+            done.push(run(&mut scratch, unit));
+            if let Some(started) = unit_started {
+                let took = started.elapsed();
+                busy += took;
+                if telemetry_on {
+                    telemetry::record_unit(worker, took);
+                }
+            }
+        }
+        if prof_on {
+            prof::record_worker(pool, worker, busy, done.len() as u64);
+        }
+        done
+    };
+    let outputs = if workers <= 1 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let work = &work;
+                    scope.spawn(move || {
+                        let done = work(worker);
+                        // Drain before the closure returns: thread::scope
+                        // signals completion ahead of TLS destructors, so
+                        // the Drop-merge backstop would race a report()
+                        // right after this join. The inline worker is the
+                        // caller's own thread, whose open scopes stay put.
+                        if prof_on {
+                            prof::drain_thread();
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("experiment worker panicked"))
+                .collect()
+        })
+    };
+    if let Some(started) = pool_started {
+        prof::record_pool(pool, started.elapsed());
+    }
+    outputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scratch-free search most tests below drive.
+    fn parallel_search<R: Send>(
+        jobs: Jobs,
+        total: u64,
+        chunk_size: u64,
+        scan: impl Fn(u64, u64) -> Option<(u64, R)> + Sync,
+    ) -> Option<R> {
+        parallel_search_scratch(
+            jobs,
+            total,
+            chunk_size,
+            || (),
+            |(), start, end| scan(start, end),
+        )
+    }
 
     #[test]
     fn seed_for_is_pure_and_spread() {
@@ -508,7 +441,7 @@ mod tests {
     fn jobs_resolution() {
         assert_eq!(Jobs::new(0).get(), 1);
         assert_eq!(Jobs::serial().get(), 1);
-        assert_eq!("6".parse::<Jobs>().map(|j| j.get()), Ok(6));
+        assert_eq!(Jobs::resolve_from(Some("6"), None).jobs.get(), 6);
         assert!(Jobs::default().get() >= 1);
     }
 
@@ -517,8 +450,7 @@ mod tests {
         // Regression: `--jobs 0` used to clamp to serial while
         // `BLAP_JOBS=0` fell back to available parallelism. Both spellings
         // must now resolve identically.
-        let parsed: Jobs = "0".parse().expect("0 parses");
-        assert_eq!(parsed, Jobs::default());
+        assert_eq!(Jobs::resolve_from(Some("0"), None).jobs, Jobs::default());
         assert_eq!(
             Jobs::resolve_from(Some("0"), None).jobs,
             Jobs::resolve_from(None, Some("0")).jobs

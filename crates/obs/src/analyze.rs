@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let err = analyze_trace("{\"t\":1,\"ev\":\"x\"}\nnot json\n").unwrap_err();
+        let err = analyze_trace("{\"t\":1,\"ev\":\"warning\"}\nnot json\n").unwrap_err();
         assert_eq!(err.line, 2);
         let err = analyze_trace("{\"ev\":\"missing-t\"}\n").unwrap_err();
         assert!(err.message.contains("\"t\""), "{err}");

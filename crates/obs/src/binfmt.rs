@@ -154,6 +154,12 @@ const FRAME_KEYS: [&str; 25] = [
 
 const FLAG_DEV: u8 = 1 << 0;
 
+/// The `SCHEMA` row, and so the frame tag, of event kind `ev`; `None` for
+/// a kind BLAPTRC1 does not name.
+pub(crate) fn tag_of(ev: &str) -> Option<usize> {
+    SCHEMA.iter().position(|(name, _)| *name == ev)
+}
+
 /// The members of schema row `tag`, each with the flag bit it owns (0 for
 /// a required member).
 fn members(tag: usize) -> impl Iterator<Item = (&'static str, Ty, u8)> {
@@ -251,10 +257,7 @@ fn encode_line(line: &str) -> Result<Vec<u8>, String> {
         .get("ev")
         .and_then(Scalar::as_str)
         .ok_or_else(|| "missing string \"ev\" field".to_owned())?;
-    let tag = SCHEMA
-        .iter()
-        .position(|(name, _)| *name == ev)
-        .ok_or_else(|| format!("unknown event kind {ev:?}"))?;
+    let tag = tag_of(ev).ok_or_else(|| format!("unknown event kind {ev:?}"))?;
     let mut out = Vec::with_capacity(line.len());
     out.extend([tag as u8, 0]);
     put_varint(&mut out, t);

@@ -40,6 +40,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::analyze::{AnalyzeError, PhaseProfile, TraceAnalysis, Violation, LMP_LATENCY_US};
+use crate::binfmt;
 use crate::json::{self, escape, Scalar, Value};
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -240,9 +241,10 @@ impl StreamAnalyzer {
     }
 
     /// Consumes one raw artifact line (blank lines are counted and
-    /// skipped). Returns the parse error for a malformed line; analyzer
-    /// state is unchanged by a failed push except for the line counter,
-    /// so a caller may report and stop.
+    /// skipped). Returns the parse error for a malformed line, or for an
+    /// `ev` kind the BLAPTRC1 schema does not name (as `blap-trace
+    /// convert` does); analyzer state is unchanged by a failed push except
+    /// for the line counter, so a caller may report and stop.
     ///
     /// The line is scanned in place, never built into a [`Value`] tree:
     /// only the members the state machine reads are kept, borrowed from
@@ -303,7 +305,9 @@ impl StreamAnalyzer {
             "keystore" => LineKind::Keystore {
                 action: str_field("action").unwrap_or(""),
             },
-            _ => LineKind::Other,
+            // Only the kinds the state machine skips pay the schema lookup.
+            _ if binfmt::tag_of(ev).is_some() => LineKind::Other,
+            _ => return Err(fail(format!("unknown event kind {ev:?}"))),
         };
         self.line_count += 1;
         self.ingest(&LineView {

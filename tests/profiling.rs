@@ -11,16 +11,19 @@
 //! * the worker-utilization accounting in `blap::runner` notices a
 //!   deliberately skewed workload — the worker stuck with the slow task
 //!   reports imbalance above 1, and busy time stays within the pool's
-//!   wall envelope.
+//!   wall envelope, and
+//! * each unit is timed once: the profiler's pool table and the live
+//!   telemetry lanes see the same tasks and busy time per worker.
 //!
-//! The profiler's state is process-global, so every test here serializes
-//! on one lock and resets the registry around its measurements.
+//! The profiler's and the telemetry hub's state is process-global, so
+//! every test here serializes on one lock and resets the registry around
+//! its measurements.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use blap::runner::{parallel_map, parallel_search_scratch, Jobs};
-use blap_obs::prof;
+use blap_obs::{prof, telemetry};
 
 static PROF: Mutex<()> = Mutex::new(());
 
@@ -175,4 +178,63 @@ fn skewed_parallel_map_reports_imbalance_within_wall_envelope() {
         max_imbalance > 1.0,
         "the worker that drew the slow task must exceed the mean, got {max_imbalance:.2}"
     );
+}
+
+#[test]
+fn prof_pool_and_telemetry_lanes_see_the_same_units() {
+    let _serial = PROF.lock().unwrap();
+    let spin = || {
+        let spin = Instant::now();
+        while spin.elapsed() < Duration::from_millis(2) {
+            std::hint::black_box(0u64);
+        }
+    };
+    for workers in [1, 4] {
+        for pool in ["parallel_map", "parallel_search"] {
+            prof::reset();
+            telemetry::begin_session(telemetry::SessionTotals::default());
+            prof::set_enabled(true);
+            telemetry::set_enabled(true);
+            if pool == "parallel_map" {
+                let out = parallel_map(Jobs::new(workers), 16, |i| {
+                    spin();
+                    i
+                });
+                assert_eq!(out, (0..16).collect::<Vec<_>>());
+            } else {
+                let found = parallel_search_scratch(
+                    Jobs::new(workers),
+                    1000,
+                    100,
+                    || (),
+                    |_, start, end| {
+                        spin();
+                        (start..end).find(|&i| i == 550).map(|i| (i, i))
+                    },
+                );
+                assert_eq!(found, Some(550));
+            }
+            prof::set_enabled(false);
+            let lanes = telemetry::sample(0, None, 0).workers;
+            telemetry::reset();
+            let report = prof::report();
+            prof::reset();
+
+            // Per worker that ran a unit: (worker, tasks, busy ms).
+            let from_prof: Vec<(u64, u64, u64)> = report
+                .pool(pool)
+                .expect("pool stats recorded")
+                .workers
+                .iter()
+                .filter(|w| w.tasks > 0)
+                .map(|w| (w.worker as u64, w.tasks, w.busy_ns / 1_000_000))
+                .collect();
+            let from_lanes: Vec<(u64, u64, u64)> = lanes
+                .iter()
+                .map(|lane| (lane.worker, lane.tasks, lane.busy_ms))
+                .collect();
+            assert!(!from_prof.is_empty(), "{pool} at {workers} workers ran");
+            assert_eq!(from_prof, from_lanes, "{pool} at {workers} workers");
+        }
+    }
 }

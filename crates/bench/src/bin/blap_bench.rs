@@ -75,7 +75,7 @@ fn run_compare(mut argv: impl Iterator<Item = String>) -> ! {
     };
     let comparison = match compare(&read(baseline_path), &read(fresh_path), &config) {
         Ok(comparison) => comparison,
-        Err(message) => usage_exit(&message),
+        Err(err) => usage_exit(&err.to_string()),
     };
     print!("{}", comparison.render());
     if let Some(history_path) = history {

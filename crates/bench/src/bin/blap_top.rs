@@ -36,20 +36,23 @@ fn main() {
     let interval_ms: u64 = args.extra_or("--interval", 500).unwrap_or_else(die);
     let idle_ms: u64 = args.extra_or("--idle-ms", 0).unwrap_or_else(die);
 
+    let mut reader = TailReader::new();
     if args.has_switch("--once") {
-        let loaded = top::load_once(&path).unwrap_or_else(die);
-        if loaded.snapshots.is_empty() {
+        let mut snapshots = reader
+            .poll(&path)
+            .unwrap_or_else(|err| die(format!("{path}: {err}")));
+        let torn = reader.finish().map(|last| snapshots.extend(last)).is_err();
+        if snapshots.is_empty() {
             eprintln!("blap-top: {path} holds no complete snapshot yet");
             std::process::exit(1);
         }
-        if loaded.torn_tail {
+        if torn {
             eprintln!("blap-top: note: skipped a torn final line (writer mid-append)");
         }
-        print!("{}", top::render(&loaded.snapshots));
+        print!("{}", top::render(&snapshots));
         return;
     }
 
-    let mut reader = TailReader::new();
     let mut history: Vec<TelemetrySnapshot> = Vec::new();
     let mut last_growth = Instant::now();
     loop {
@@ -77,7 +80,7 @@ fn main() {
                     return;
                 }
             }
-            Err(err) => die(err),
+            Err(err) => die(format!("{path}: {err}")),
         }
         std::thread::sleep(Duration::from_millis(interval_ms.max(50)));
     }

@@ -20,15 +20,18 @@
 //! would exit 2. Corruption on an *interior* (newline-terminated or
 //! fully-framed) record stays fatal in both modes.
 //!
-//! `check`, `timeline`, `convert`, and trace `diff` all **stream**: lines
-//! (or binary frames) are fed through the constant-memory
-//! [`blap_obs::StreamAnalyzer`] / [`blap_obs::TraceDiff`] as they are
-//! read, so a campaign-scale artifact is analyzed without ever being
-//! materialized. Trace inputs may be JSONL or the `b"BLAPTRC1"` binary
-//! encoding — the format is sniffed from the first 8 bytes. `convert`
-//! flips the format: a JSONL input is written as binary and vice versa,
-//! and the round trip is byte-deterministic (a non-canonical JSONL line
-//! is an error, not a silent rewrite).
+//! `check`, `timeline`, `convert`, and trace `diff` all **stream**, and
+//! all read a trace the same way: lines (or binary frames) are fed
+//! through the constant-memory [`blap_obs::StreamAnalyzer`] /
+//! [`blap_obs::TraceDiff`] as they are read, so a campaign-scale artifact
+//! is analyzed without ever being materialized, and a line one of them
+//! refuses is refused by all of them with the same message. Trace inputs
+//! may be JSONL or the `b"BLAPTRC1"` binary encoding — the format is
+//! sniffed from the first 8 bytes — and no event may be longer than
+//! [`binfmt::MAX_EVENT_BYTES`] in either. `convert` flips the format: a
+//! JSONL input is written as binary and vice versa, and the round trip is
+//! byte-deterministic (a non-canonical JSONL line is an error, not a
+//! silent rewrite).
 //!
 //! `diff` picks the comparison by extension: two `.json` files are
 //! compared structurally as metrics documents (run-dependent `wall_ms` /
@@ -36,13 +39,14 @@
 //! trace. Exit codes: 0 clean, 1 violations/drift, 2 usage or parse error.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use blap_bench::cli::Args;
+use blap_obs::analyze::AnalyzeError;
 use blap_obs::binfmt::{self, Frame, FrameWriter};
-use blap_obs::{diff_metrics, FrameReader, StreamAnalyzer, TraceDiff};
+use blap_obs::{diff_metrics, json, CodecError, FrameReader, StreamAnalyzer, TraceDiff};
 
 const USAGE: &str =
     "usage: blap-trace <check|timeline|convert|diff> <file> [file2] [--follow] [--idle-ms MS]";
@@ -122,12 +126,70 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// A trace input stream with its sniffed format: the first
-/// `MAGIC.len()` bytes decide binary vs JSONL, and are pushed back so
-/// the reader sees the stream from byte 0.
+/// A trace input in its sniffed format (the first `MAGIC.len()` bytes,
+/// pushed back), yielding trace lines through [`TraceInput::next_line`].
 enum TraceInput {
-    Jsonl(BufReader<PrefixedReader>),
-    Binary(FrameReader<BufReader<PrefixedReader>>),
+    Jsonl {
+        reader: BufReader<PrefixedReader>,
+        line: String,
+        line_no: usize,
+    },
+    Binary {
+        frames: FrameReader<BufReader<PrefixedReader>>,
+        frame: Option<Frame>,
+    },
+}
+
+/// Why a trace input stopped before its end.
+enum ReadError {
+    /// The file could not be read.
+    Io(std::io::Error),
+    /// A JSONL line longer than [`binfmt::MAX_EVENT_BYTES`], or not UTF-8.
+    Line(AnalyzeError),
+    /// A binary frame is malformed, or torn.
+    Frame(CodecError),
+}
+
+impl TraceInput {
+    /// The next trace line, and whether it is complete (only a last JSONL
+    /// line without its newline is not); `Ok(None)` at the end.
+    fn next_line(&mut self) -> Result<Option<(&str, bool)>, ReadError> {
+        match self {
+            TraceInput::Jsonl {
+                reader,
+                line,
+                line_no,
+            } => {
+                *line_no += 1;
+                match json::read_line(reader, line, binfmt::MAX_EVENT_BYTES) {
+                    Ok(next) => Ok(next.map(|terminated| (line.as_str(), terminated))),
+                    Err(err) if err.kind() == std::io::ErrorKind::InvalidData => {
+                        Err(ReadError::Line(AnalyzeError {
+                            line: *line_no,
+                            message: err.to_string(),
+                        }))
+                    }
+                    Err(err) => Err(ReadError::Io(err)),
+                }
+            }
+            TraceInput::Binary { frames, frame } => match frames.next_frame() {
+                Ok(next) => Ok(next.map(|next| (frame.insert(next).line(), true))),
+                Err(err) => Err(ReadError::Frame(err)),
+            },
+        }
+    }
+}
+
+impl ReadError {
+    /// Prints the error for the trace at `path`; the exit code is 2.
+    fn report(&self, path: &str) -> ExitCode {
+        match self {
+            ReadError::Io(err) => eprintln!("error: cannot read {path}: {err}"),
+            ReadError::Line(err) => eprintln!("error: {path}: {err}"),
+            ReadError::Frame(err) => eprintln!("error: {path}: {err}"),
+        }
+        ExitCode::from(2)
+    }
 }
 
 /// Tail-follow behavior for `--follow`: reads that hit end-of-file wait
@@ -221,34 +283,18 @@ fn open_trace(path: &str, follow: Option<FollowPolicy>) -> Result<TraceInput, Ex
         done: false,
     });
     if binary {
-        let frames = FrameReader::new(reader).map_err(|err| {
-            eprintln!("error: {path}: {err}");
-            ExitCode::from(2)
-        })?;
-        Ok(TraceInput::Binary(frames))
+        let frames = FrameReader::new(reader).map_err(|err| ReadError::Frame(err).report(path))?;
+        Ok(TraceInput::Binary {
+            frames,
+            frame: None,
+        })
     } else {
-        Ok(TraceInput::Jsonl(reader))
+        Ok(TraceInput::Jsonl {
+            reader,
+            line: String::new(),
+            line_no: 0,
+        })
     }
-}
-
-/// Reads one line into `buf` (cleared first), stripping the trailing
-/// `\n` / `\r\n` exactly as `str::lines` does. `Ok(None)` at EOF;
-/// otherwise `Ok(Some(terminated))`, where `terminated` is false only
-/// for a final line with no newline — either a legitimate last line or
-/// the torn tail a killed writer left behind.
-fn next_line<R: BufRead>(reader: &mut R, buf: &mut String) -> std::io::Result<Option<bool>> {
-    buf.clear();
-    if reader.read_line(buf)? == 0 {
-        return Ok(None);
-    }
-    let terminated = buf.ends_with('\n');
-    if terminated {
-        buf.pop();
-        if buf.ends_with('\r') {
-            buf.pop();
-        }
-    }
-    Ok(Some(terminated))
 }
 
 /// Streams a trace — either format — through a fresh analyzer.
@@ -259,57 +305,32 @@ fn next_line<R: BufRead>(reader: &mut R, buf: &mut String) -> std::io::Result<Op
 /// instead of a fatal error: by the time a follower sees end-of-file
 /// the idle timeout has passed, so a torn tail means the writer was
 /// killed mid-append, and the complete prefix is still worth a report.
+/// Frames carry their canonical JSONL lines and take the same path as a
+/// converted file would: one analyzer, two formats.
 fn analyze_stream(
     path: &str,
-    input: TraceInput,
+    mut input: TraceInput,
     tolerate_torn: bool,
 ) -> Result<blap_obs::TraceAnalysis, ExitCode> {
     let mut analyzer = StreamAnalyzer::new();
-    match input {
-        TraceInput::Jsonl(mut reader) => {
-            let mut line = String::new();
-            loop {
-                match next_line(&mut reader, &mut line) {
-                    Ok(None) => break,
-                    Ok(Some(terminated)) => {
-                        if let Err(err) = analyzer.push_line(&line) {
-                            if tolerate_torn && !terminated {
-                                eprintln!("warning: {path}: ignoring torn final line: {err}");
-                                break;
-                            }
-                            eprintln!("error: {path}: {err}");
-                            return Err(ExitCode::from(2));
-                        }
-                    }
-                    Err(err) => {
-                        eprintln!("error: cannot read {path}: {err}");
-                        return Err(ExitCode::from(2));
-                    }
-                }
-            }
-        }
-        TraceInput::Binary(mut frames) => {
-            // Frames carry their canonical JSONL lines and take the same
-            // path as a converted file would: one analyzer, two formats.
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => {
-                        if let Err(err) = analyzer.push_line(frame.line()) {
-                            eprintln!("error: {path}: {err}");
-                            return Err(ExitCode::from(2));
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(err) if tolerate_torn && err.truncated => {
-                        eprintln!("warning: {path}: ignoring torn final frame: {err}");
+    loop {
+        match input.next_line() {
+            Ok(Some((line, complete))) => {
+                if let Err(err) = analyzer.push_line(line) {
+                    if tolerate_torn && !complete {
+                        eprintln!("warning: {path}: ignoring torn final line: {err}");
                         break;
                     }
-                    Err(err) => {
-                        eprintln!("error: {path}: {err}");
-                        return Err(ExitCode::from(2));
-                    }
+                    eprintln!("error: {path}: {err}");
+                    return Err(ExitCode::from(2));
                 }
             }
+            Ok(None) => break,
+            Err(ReadError::Frame(err)) if tolerate_torn && err.truncated => {
+                eprintln!("warning: {path}: ignoring torn final frame: {err}");
+                break;
+            }
+            Err(err) => return Err(err.report(path)),
         }
     }
     Ok(analyzer.finish())
@@ -352,85 +373,71 @@ fn timeline(path: &str, follow: Option<FollowPolicy>) -> ExitCode {
     }
 }
 
+/// Where `convert` writes: the format the input is not in.
+enum Output {
+    Binary(FrameWriter<BufWriter<File>>),
+    Jsonl(BufWriter<File>),
+}
+
 fn convert(input_path: &str, output_path: &str) -> ExitCode {
-    let input = match open_trace(input_path, None) {
+    let mut input = match open_trace(input_path, None) {
         Ok(input) => input,
         Err(code) => return code,
     };
-    let output = match File::create(output_path) {
+    let write_failed = |err: std::io::Error| {
+        eprintln!("error: cannot write {output_path}: {err}");
+        ExitCode::from(2)
+    };
+    let file = match File::create(output_path) {
         Ok(file) => BufWriter::new(file),
         Err(err) => {
             eprintln!("error: cannot create {output_path}: {err}");
             return ExitCode::from(2);
         }
     };
-    let write_failed = |err: std::io::Error| {
-        eprintln!("error: cannot write {output_path}: {err}");
-        ExitCode::from(2)
-    };
-    let mut converted = 0u64;
-    match input {
+    let mut output = match input {
         // JSONL in -> binary out. Every line must be a canonical trace
         // line; anything else would not survive the round trip.
-        TraceInput::Jsonl(mut reader) => {
-            let mut writer = match FrameWriter::new(output) {
-                Ok(writer) => writer,
-                Err(err) => return write_failed(err),
-            };
-            let mut line = String::new();
-            let mut line_no = 0u64;
-            loop {
-                match next_line(&mut reader, &mut line) {
-                    Ok(None) => break,
-                    Ok(Some(_)) => {
-                        line_no += 1;
-                        let frame = match Frame::from_jsonl(&line) {
-                            Ok(frame) => frame,
-                            Err(err) => {
-                                eprintln!("error: {input_path} line {line_no}: {err}");
-                                return ExitCode::from(2);
-                            }
-                        };
-                        if let Err(err) = writer.write_frame(&frame) {
-                            return write_failed(err);
-                        }
-                        converted += 1;
-                    }
-                    Err(err) => {
-                        eprintln!("error: cannot read {input_path}: {err}");
-                        return ExitCode::from(2);
-                    }
+        TraceInput::Jsonl { .. } => match FrameWriter::new(file) {
+            Ok(writer) => Output::Binary(writer),
+            Err(err) => return write_failed(err),
+        },
+        TraceInput::Binary { .. } => Output::Jsonl(file),
+    };
+    let mut converted = 0usize;
+    loop {
+        let line = match input.next_line() {
+            Ok(Some((line, _))) => line,
+            Ok(None) => break,
+            Err(err) => return err.report(input_path),
+        };
+        converted += 1;
+        let written = match &mut output {
+            Output::Binary(writer) => match Frame::from_jsonl(line) {
+                Ok(frame) => writer.write_frame(&frame),
+                Err(err) => {
+                    let err = AnalyzeError {
+                        line: converted,
+                        message: err.to_string(),
+                    };
+                    eprintln!("error: {input_path}: {err}");
+                    return ExitCode::from(2);
                 }
-            }
-            if let Err(err) = writer.finish() {
-                return write_failed(err);
-            }
+            },
+            Output::Jsonl(writer) => writer
+                .write_all(line.as_bytes())
+                .and_then(|()| writer.write_all(b"\n")),
+        };
+        if let Err(err) = written {
+            return write_failed(err);
         }
-        // Binary in -> JSONL out.
-        TraceInput::Binary(mut frames) => {
-            let mut output = output;
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => {
-                        let written = output
-                            .write_all(frame.line().as_bytes())
-                            .and_then(|()| output.write_all(b"\n"));
-                        if let Err(err) = written {
-                            return write_failed(err);
-                        }
-                        converted += 1;
-                    }
-                    Ok(None) => break,
-                    Err(err) => {
-                        eprintln!("error: {input_path}: {err}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            if let Err(err) = output.flush() {
-                return write_failed(err);
-            }
-        }
+    }
+    let finished = match output {
+        Output::Binary(writer) => writer.finish().map(drop),
+        Output::Jsonl(mut writer) => writer.flush(),
+    };
+    if let Err(err) = finished {
+        return write_failed(err);
     }
     println!("converted {converted} event(s): {input_path} -> {output_path}");
     ExitCode::SUCCESS
@@ -472,31 +479,22 @@ fn diff(a_path: &str, b_path: &str) -> ExitCode {
     }
 }
 
-/// Streams two trace files through the bounded-memory line differ.
+/// Streams two traces — either format — through the bounded-memory line
+/// differ, refusing any line `check` refuses.
 fn diff_trace_files(a_path: &str, b_path: &str) -> Result<blap_obs::DiffReport, ExitCode> {
-    let open = |path: &str| {
-        File::open(path).map(BufReader::new).map_err(|err| {
-            eprintln!("error: cannot read {path}: {err}");
-            ExitCode::from(2)
-        })
-    };
-    let (mut a, mut b) = (open(a_path)?, open(b_path)?);
-    let read_failed = |path: &str, err: std::io::Error| {
-        eprintln!("error: cannot read {path}: {err}");
-        ExitCode::from(2)
-    };
+    let mut a = open_trace(a_path, None)?;
+    let mut b = open_trace(b_path, None)?;
     let mut diff = TraceDiff::new();
-    let (mut la, mut lb) = (String::new(), String::new());
     loop {
-        let more_a = next_line(&mut a, &mut la)
-            .map_err(|e| read_failed(a_path, e))?
-            .is_some();
-        let more_b = next_line(&mut b, &mut lb)
-            .map_err(|e| read_failed(b_path, e))?
-            .is_some();
-        if !more_a && !more_b {
+        let la = a.next_line().map_err(|err| err.report(a_path))?;
+        let lb = b.next_line().map_err(|err| err.report(b_path))?;
+        if la.is_none() && lb.is_none() {
             return Ok(diff.finish());
         }
-        diff.push_pair(more_a.then_some(la.as_str()), more_b.then_some(lb.as_str()));
+        diff.push_pair(la.map(|(line, _)| line), lb.map(|(line, _)| line))
+            .map_err(|(artifact, err)| {
+                eprintln!("error: {}: {err}", [a_path, b_path][artifact]);
+                ExitCode::from(2)
+            })?;
     }
 }

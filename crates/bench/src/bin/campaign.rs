@@ -43,12 +43,10 @@
 use std::time::{Duration, Instant};
 
 use blap::campaign::{Campaign, Population};
+use blap_bench::checkpoint::{self, Checkpoint};
 use blap_bench::cli::{self, Args};
 use blap_obs::telemetry::{self, TelemetrySnapshot};
-use blap_obs::{json, MetaValue, Metrics, ViolationSummary};
-
-/// Checkpoint document schema tag.
-const SCHEMA: &str = "blap-campaign-checkpoint-v1";
+use blap_obs::{MetaValue, Metrics, ViolationSummary};
 
 /// Default shard count between checkpoint writes.
 const DEFAULT_CHECKPOINT_EVERY: u64 = 64;
@@ -124,9 +122,17 @@ fn main() {
 
     let (mut next_shard, mut merged, mut summary) = if args.has_switch("--resume") {
         let path = checkpoint_path.as_deref().expect("checked above");
-        let (next, metrics, summary) = read_checkpoint(path, &campaign, check_invariants);
-        println!("resumed from {path}: {next}/{total_shards} shards already aggregated");
-        (next, metrics, summary)
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|err| die(format!("cannot read checkpoint {path}: {err}")));
+        let Checkpoint {
+            next_shard,
+            metrics,
+            invariants,
+        } = checkpoint::parse(&text, &campaign, check_invariants)
+            .unwrap_or_else(|err| die(format!("checkpoint {path}: {err}")));
+        println!("resumed from {path}: {next_shard}/{total_shards} shards already aggregated");
+        let invariants = invariants.filter(|_| check_invariants);
+        (next_shard, metrics, invariants.unwrap_or_default())
     } else {
         (0, Metrics::new(), ViolationSummary::new())
     };
@@ -169,7 +175,10 @@ fn main() {
         next_shard = wave_end;
         if let Some(path) = &checkpoint_path {
             let invariants = check_invariants.then_some(&summary);
-            write_checkpoint(path, &campaign, next_shard, &merged, invariants);
+            write_checkpoint(
+                path,
+                &checkpoint::render(&campaign, next_shard, &merged, invariants),
+            );
         }
     }
     let wall = started.elapsed();
@@ -306,106 +315,14 @@ fn print_utilization(snapshot: Option<&TelemetrySnapshot>) {
     }
 }
 
-/// Atomically writes the checkpoint: config echo, resume cursor, the
-/// invariant summary (only under `--check-invariants`), and the merged
-/// metrics so far. Byte-deterministic at any worker count.
-fn write_checkpoint(
-    path: &str,
-    campaign: &Campaign,
-    next_shard: u64,
-    merged: &Metrics,
-    invariants: Option<&ViolationSummary>,
-) {
-    let invariants_section = invariants
-        .map(|summary| format!("  \"invariants\": {},\n", summary.to_json()))
-        .unwrap_or_default();
-    let body = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"population\": \"{}\",\n  \
-         \"trials\": {},\n  \"shards\": {},\n  \"seed\": {},\n  \
-         \"next_shard\": {next_shard},\n{invariants_section}  \"metrics\": {}\n}}\n",
-        campaign.population.name,
-        campaign.trials,
-        campaign.shard_count(),
-        campaign.seed,
-        merged.to_json().trim_end(),
-    );
+/// Atomically writes a rendered checkpoint: tmp file, then rename.
+fn write_checkpoint(path: &str, body: &str) {
     let tmp = format!("{path}.tmp");
-    cli::write_artifact(&tmp, &body);
+    cli::write_artifact(&tmp, body);
     if let Err(err) = std::fs::rename(&tmp, path) {
         eprintln!("error: cannot move {tmp} into place: {err}");
         std::process::exit(1);
     }
-}
-
-/// Reads a checkpoint back, refusing a document whose configuration does
-/// not match this invocation (resuming under a different population, seed,
-/// or shard shape would silently corrupt the aggregate). When resuming
-/// under `--check-invariants`, the checkpoint must carry an `invariants`
-/// summary — one written without the flag skipped the checks for the
-/// shards it covers, so the combined summary would silently under-count.
-fn read_checkpoint(
-    path: &str,
-    campaign: &Campaign,
-    check_invariants: bool,
-) -> (u64, Metrics, ViolationSummary) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|err| die(format!("cannot read checkpoint {path}: {err}")));
-    let value = json::parse(&text)
-        .unwrap_or_else(|err| die(format!("checkpoint {path} is not valid JSON: {err}")));
-    let field = |key: &str| {
-        value
-            .get(key)
-            .unwrap_or_else(|| die(format!("checkpoint {path} is missing {key:?}")))
-    };
-    if field("schema").as_str() != Some(SCHEMA) {
-        die::<u64>(format!("checkpoint {path} is not a {SCHEMA} document"));
-    }
-    let uint = |key: &str| {
-        field(key)
-            .as_u64()
-            .unwrap_or_else(|| die(format!("checkpoint {path} field {key:?} is not an integer")))
-    };
-    let expect = |key: &str, want: u64| {
-        let got = uint(key);
-        if got != want {
-            die::<u64>(format!(
-                "checkpoint {path} was taken with {key} {got}, this run uses {want}"
-            ));
-        }
-    };
-    if field("population").as_str() != Some(campaign.population.name) {
-        die::<u64>(format!(
-            "checkpoint {path} was taken with population {:?}, this run uses {:?}",
-            field("population").as_str().unwrap_or("?"),
-            campaign.population.name
-        ));
-    }
-    expect("trials", campaign.trials);
-    expect("shards", campaign.shard_count());
-    expect("seed", campaign.seed);
-    let next_shard = uint("next_shard");
-    if next_shard > campaign.shard_count() {
-        die::<u64>(format!(
-            "checkpoint {path} cursor {next_shard} exceeds the {} shards",
-            campaign.shard_count()
-        ));
-    }
-    let metrics = Metrics::from_value(field("metrics"))
-        .unwrap_or_else(|err| die(format!("checkpoint {path} metrics are malformed: {err}")));
-    let summary = if check_invariants {
-        let invariants = value.get("invariants").unwrap_or_else(|| {
-            die(format!(
-                "checkpoint {path} has no \"invariants\" summary — it was written \
-                 without --check-invariants, so the covered shards were never checked; \
-                 restart the campaign from scratch to check every trial"
-            ))
-        });
-        ViolationSummary::from_value(invariants)
-            .unwrap_or_else(|err| die(format!("checkpoint {path} invariants are malformed: {err}")))
-    } else {
-        ViolationSummary::new()
-    };
-    (next_shard, metrics, summary)
 }
 
 fn die<T>(message: String) -> T {

@@ -39,6 +39,7 @@ use blap_crypto::ccm::{OpenBatch, SealedFrame};
 use blap_crypto::p256::{FieldElement, KeyPair};
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
+use blap_obs::json::{self, Layout};
 use blap_obs::{Frame, FrameReader, FrameWriter, StreamAnalyzer};
 use blap_sim::{profiles, SniffedFrame, World};
 use blap_types::{BdAddr, ConnectionHandle, Duration, LinkKey, LinkKeyType, ServiceUuid};
@@ -94,14 +95,6 @@ fn sample_packets() -> Vec<HciPacket> {
             vec![0x5A; 48],
         )),
     ]
-}
-
-fn json_number(value: f64) -> String {
-    format!("{value:.1}")
-}
-
-fn json_opt(value: Option<f64>) -> String {
-    value.map(json_number).unwrap_or_else(|| "null".into())
 }
 
 fn main() {
@@ -376,85 +369,64 @@ fn main() {
             .map(|h| h.sum() as f64 / 1e3)
     };
 
-    println!("{{");
-    println!("  \"schema\": \"blap-bench-hotpaths-v2\",");
-    println!(
-        "  \"host\": {},",
-        blap_bench::compare::HostFingerprint::current().render_json("  ")
-    );
-    println!("  \"jobs\": {},", jobs.get());
-    println!("  \"metrics_wall\": {wall_metrics},");
-    println!("  \"ns_per_op\": {{");
-    println!(
-        "    \"hci_encode_into_packet\": {},",
-        json_number(hci_encode_into)
-    );
-    println!(
-        "    \"hci_encode_alloc_packet\": {},",
-        json_number(hci_encode_alloc)
-    );
-    println!("    \"hci_decode_packet\": {},", json_number(hci_decode));
-    println!("    \"aes128_encrypt_block\": {},", json_number(aes_block));
-    println!("    \"ccm_seal_64b\": {},", json_number(ccm_seal));
-    println!("    \"ccm_open_64b\": {},", json_number(ccm_open));
-    println!(
-        "    \"ccm_open_batched_64b\": {},",
-        json_number(ccm_open_batched)
-    );
-    println!(
-        "    \"eavesdrop_decrypt_frame\": {},",
-        json_number(eavesdrop_decrypt)
-    );
-    println!("    \"legacy_e1\": {},", json_number(legacy_e1));
-    println!(
-        "    \"pincrack_candidate\": {},",
-        json_number(pincrack_candidate)
-    );
-    println!("    \"p256_fe_mul\": {},", json_number(p256_fe_mul));
-    println!("    \"p256_keygen\": {},", json_number(p256_keygen));
-    println!("    \"p256_ecdh\": {},", json_number(p256_ecdh));
-    println!("    \"trace_push_line\": {},", json_number(trace_push_line));
-    println!(
-        "    \"frame_next_frame\": {},",
-        json_number(frame_next_frame)
-    );
-    println!(
-        "    \"frame_render_jsonl\": {},",
-        json_number(frame_render_jsonl)
-    );
-    println!(
-        "    \"telemetry_disabled\": {}",
-        json_number(telemetry_disabled)
-    );
-    println!("  }},");
-    println!("  \"wall_ms\": {{");
-    println!("    \"table1\": {},", json_number(table1_wall));
-    println!(
-        "    \"table1_units\": {},",
-        json_opt(unit_wall_ms(&t1.metrics))
-    );
-    println!("    \"table2_trials4\": {},", json_number(table2_wall));
-    println!(
-        "    \"table2_units\": {},",
-        json_opt(unit_wall_ms(&t2.metrics))
-    );
-    println!("    \"pincrack_4digit\": {}", json_number(pincrack_wall));
-    println!("  }},");
-    println!("  \"throughput\": {{");
-    println!(
-        "    \"pincrack_candidates_per_sec\": {},",
-        json_number(pincrack_candidates_per_sec)
-    );
-    println!(
-        "    \"ccm_open_bytes_per_sec\": {},",
-        json_number(ccm_open_bytes_per_sec)
-    );
-    println!(
-        "    \"campaign_trials_per_sec\": {}",
-        json_number(campaign_trials_per_sec)
-    );
-    println!("  }}");
-    println!("}}");
+    let kernels = [
+        ("hci_encode_into_packet", hci_encode_into),
+        ("hci_encode_alloc_packet", hci_encode_alloc),
+        ("hci_decode_packet", hci_decode),
+        ("aes128_encrypt_block", aes_block),
+        ("ccm_seal_64b", ccm_seal),
+        ("ccm_open_64b", ccm_open),
+        ("ccm_open_batched_64b", ccm_open_batched),
+        ("eavesdrop_decrypt_frame", eavesdrop_decrypt),
+        ("legacy_e1", legacy_e1),
+        ("pincrack_candidate", pincrack_candidate),
+        ("p256_fe_mul", p256_fe_mul),
+        ("p256_keygen", p256_keygen),
+        ("p256_ecdh", p256_ecdh),
+        ("trace_push_line", trace_push_line),
+        ("frame_next_frame", frame_next_frame),
+        ("frame_render_jsonl", frame_render_jsonl),
+        ("telemetry_disabled", telemetry_disabled),
+    ];
+    let wall_ms = [
+        ("table1", Some(table1_wall)),
+        ("table1_units", unit_wall_ms(&t1.metrics)),
+        ("table2_trials4", Some(table2_wall)),
+        ("table2_units", unit_wall_ms(&t2.metrics)),
+        ("pincrack_4digit", Some(pincrack_wall)),
+    ];
+    let throughput = [
+        ("pincrack_candidates_per_sec", pincrack_candidates_per_sec),
+        ("ccm_open_bytes_per_sec", ccm_open_bytes_per_sec),
+        ("campaign_trials_per_sec", campaign_trials_per_sec),
+    ];
+    let mut artifact = String::new();
+    json::object(&mut artifact, Layout::Lines, |w| {
+        w.str("schema", "blap-bench-hotpaths-v2");
+        let host = blap_bench::compare::HostFingerprint::current();
+        w.object("host", Layout::Lines, |w| host.write_members(w));
+        w.u64("jobs", jobs.get() as u64);
+        w.bool("metrics_wall", wall_metrics);
+        w.object("ns_per_op", Layout::Lines, |w| {
+            for (name, ns) in kernels {
+                w.f64(name, ns, 1);
+            }
+        });
+        w.object("wall_ms", Layout::Lines, |w| {
+            for (name, ms) in wall_ms {
+                match ms {
+                    Some(ms) => w.f64(name, ms, 1),
+                    None => w.null(name),
+                };
+            }
+        });
+        w.object("throughput", Layout::Lines, |w| {
+            for (name, rate) in throughput {
+                w.f64(name, rate, 1);
+            }
+        });
+    });
+    println!("{artifact}");
 }
 
 /// An encrypted PBAP session capture plus the extracted key — the same

@@ -14,6 +14,7 @@ use blap::runner::{parallel_map, seed_for, Jobs};
 use blap_obs::{JsonlBuffer, Metrics, TraceEvent, Tracer};
 use blap_sim::profiles;
 
+pub mod checkpoint;
 pub mod cli;
 pub mod compare;
 pub mod top;

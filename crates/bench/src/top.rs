@@ -1,27 +1,30 @@
 //! The `blap-top` dashboard: loading and rendering telemetry sidecars.
 //!
 //! The binary in `src/bin/blap_top.rs` is a thin shell over this module
-//! so the interesting behavior — tail-following a growing JSONL sidecar
-//! without choking on a half-written final line, and rendering the
-//! terminal dashboard — is exercisable from unit tests without spawning
-//! a process.
+//! so the interesting behavior — reading a growing JSONL sidecar, live or
+//! once, without choking on a half-written final line, and rendering the
+//! terminal dashboard — is exercisable from unit tests without spawning a
+//! process.
 
 use std::fmt::Write as _;
+use std::io;
 
-use blap_obs::telemetry::{self, SnapshotFile, TelemetrySnapshot};
+use blap_obs::json::{DecodeError, Fault};
+use blap_obs::telemetry::{self, TelemetrySnapshot};
 
-/// An incremental tail-follower over a telemetry JSONL sidecar.
+/// The one reader of a telemetry JSONL sidecar, live or after the fact.
 ///
-/// Tracks a byte offset and only ever consumes *complete* lines: a
-/// torn final line — the writer mid-append, or the last line a killed
-/// campaign got out — stays in the file until its newline arrives (or
-/// forever, under `--once`, where it is simply skipped). A complete
-/// line that fails to parse is a hard error: that is corruption, not
-/// write-in-progress.
+/// Tracks a byte offset and only ever consumes *complete* lines: a torn
+/// final line — the writer mid-append, or the last line a killed campaign
+/// got out — stays in the carry until its newline arrives, or until
+/// [`TailReader::finish`] decides it at end of file. A complete line that
+/// fails to parse is corruption, not write-in-progress: a hard error.
 #[derive(Debug, Default)]
 pub struct TailReader {
     offset: u64,
     carry: Vec<u8>,
+    /// Complete lines consumed, for error messages.
+    lines: u64,
 }
 
 impl TailReader {
@@ -30,51 +33,50 @@ impl TailReader {
         TailReader::default()
     }
 
-    /// Reads any newly completed snapshots since the last poll.
-    ///
-    /// Returns the new snapshots (possibly empty — the file may not
-    /// have grown, or only a partial line arrived). A shrunken file
-    /// resets the follower to the new beginning (the sidecar was
-    /// truncated and restarted).
-    pub fn poll(&mut self, path: &str) -> Result<Vec<TelemetrySnapshot>, String> {
+    /// Reads any newly completed snapshots since the last poll (possibly
+    /// none). A shrunken file resets the follower to the new beginning
+    /// (the sidecar was truncated and restarted). A corrupt line is an
+    /// [`io::ErrorKind::InvalidData`] error carrying its [`DecodeError`].
+    pub fn poll(&mut self, path: &str) -> io::Result<Vec<TelemetrySnapshot>> {
         use std::io::{Read, Seek, SeekFrom};
-        let mut file =
-            std::fs::File::open(path).map_err(|err| format!("cannot open {path}: {err}"))?;
-        let len = file
-            .metadata()
-            .map_err(|err| format!("cannot stat {path}: {err}"))?
-            .len();
-        if len < self.offset {
-            self.offset = 0;
-            self.carry.clear();
+        let mut file = std::fs::File::open(path)?;
+        if file.metadata()?.len() < self.offset {
+            *self = TailReader::new();
         }
-        file.seek(SeekFrom::Start(self.offset))
-            .map_err(|err| format!("cannot seek {path}: {err}"))?;
-        let mut fresh = Vec::new();
-        file.read_to_end(&mut fresh)
-            .map_err(|err| format!("cannot read {path}: {err}"))?;
-        self.offset += fresh.len() as u64;
-        self.carry.extend_from_slice(&fresh);
+        file.seek(SeekFrom::Start(self.offset))?;
+        self.offset += file.read_to_end(&mut self.carry)? as u64;
         let mut out = Vec::new();
-        while let Some(pos) = self.carry.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.carry.drain(..=pos).collect();
-            let line = std::str::from_utf8(&line[..line.len() - 1])
-                .map_err(|_| format!("{path}: snapshot line is not UTF-8"))?;
-            if line.is_empty() {
-                continue;
+        let mut start = 0;
+        while let Some(len) = self.carry[start..].iter().position(|&b| b == b'\n') {
+            let line = &self.carry[start..start + len];
+            start += len + 1;
+            self.lines += 1;
+            if !line.is_empty() {
+                let snapshot = parse(line, self.lines);
+                out.push(snapshot.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?);
             }
-            let snapshot = telemetry::parse_snapshot_line(line)
-                .map_err(|err| format!("{path}: corrupt snapshot line: {err}"))?;
-            out.push(snapshot);
         }
+        self.carry.drain(..start);
         Ok(out)
+    }
+
+    /// Ends the read at end of file: what is left in the carry is one
+    /// more snapshot when it parses (`Ok(None)` when nothing is left),
+    /// else the torn tail of an interrupted append.
+    pub fn finish(self) -> Result<Option<TelemetrySnapshot>, DecodeError> {
+        if self.carry.is_empty() {
+            return Ok(None);
+        }
+        parse(&self.carry, self.lines + 1).map(Some)
     }
 }
 
-/// Loads a whole sidecar once ([`--once` mode]), tolerating a torn
-/// final line.
-pub fn load_once(path: &str) -> Result<SnapshotFile, String> {
-    telemetry::read_snapshot_file(path)
+/// Sidecar line `line_no` as a snapshot.
+fn parse(line: &[u8], line_no: u64) -> Result<TelemetrySnapshot, DecodeError> {
+    std::str::from_utf8(line)
+        .map_err(|_| DecodeError::new("", Fault::Invalid("not UTF-8".to_owned())))
+        .and_then(telemetry::parse_snapshot_line)
+        .map_err(|err| err.within(&format!("line {line_no}")))
 }
 
 fn bar(fraction: f64, width: usize) -> String {
@@ -285,6 +287,50 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Reads a whole sidecar as `blap-top --once` does: one poll, then
+    /// the end-of-file decision on the carry.
+    fn read_once(path: &str) -> io::Result<(Vec<TelemetrySnapshot>, bool)> {
+        let mut reader = TailReader::new();
+        let mut snapshots = reader.poll(path)?;
+        let torn = match reader.finish() {
+            Ok(last) => {
+                snapshots.extend(last);
+                false
+            }
+            Err(_) => true,
+        };
+        Ok((snapshots, torn))
+    }
+
+    #[test]
+    fn reader_tolerates_torn_tail_but_rejects_corrupt_body() {
+        let path = temp_path("torn.jsonl");
+        let line = snapshot(0, 10).to_json_line();
+        // Two complete lines plus a torn tail (killed mid-append).
+        std::fs::write(
+            &path,
+            format!("{line}\n{line}\n{}", &line[..line.len() / 2]),
+        )
+        .expect("write");
+        let (snapshots, torn) = read_once(&path).expect("loads");
+        assert_eq!(snapshots.len(), 2);
+        assert!(torn);
+        // A complete final line parses and is not torn.
+        std::fs::write(&path, format!("{line}\n{line}")).expect("write");
+        let (snapshots, torn) = read_once(&path).expect("loads");
+        assert_eq!(snapshots.len(), 2);
+        assert!(!torn, "newline-less but complete line parses");
+        // Corruption *before* the tail is an error, not a skip.
+        std::fs::write(&path, format!("not json\n{line}\n")).expect("write");
+        let err = read_once(&path).expect_err("corrupt body");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().starts_with("line 1: JSON parse error"),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn once_mode_renders_through_a_torn_tail() {
         // Regression (failing first): the one-shot reader used to feed
@@ -296,10 +342,10 @@ mod tests {
         let line = snapshot(3, 300).to_json_line();
         let torn = &line[..line.len() / 3];
         std::fs::write(&path, format!("{line}\n{torn}")).expect("write");
-        let loaded = load_once(&path).expect("torn tail is not an error");
-        assert_eq!(loaded.snapshots.len(), 1);
-        assert!(loaded.torn_tail);
-        let out = render(&loaded.snapshots);
+        let (snapshots, torn) = read_once(&path).expect("torn tail is not an error");
+        assert_eq!(snapshots.len(), 1);
+        assert!(torn);
+        let out = render(&snapshots);
         assert!(out.contains("300/1000"), "{out}");
         let _ = std::fs::remove_file(&path);
     }

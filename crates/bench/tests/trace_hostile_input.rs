@@ -1,7 +1,8 @@
-//! `blap-trace` on hostile JSONL: a line the JSON grammar rejects —
+//! `blap-trace` on hostile input: a line the JSON grammar rejects —
 //! nesting past the reader's depth cap, a signed `\u` escape, a bare
-//! `-` — or an `ev` kind the trace schema does not name is an error with
-//! the documented exit code 2, never a crash and never a silently
+//! `-` —, an `ev` kind the trace schema does not name, or an event past
+//! the one size limit in either format is an error with the documented
+//! exit code 2 from every reader, never a crash and never a silently
 //! accepted line.
 
 use std::path::PathBuf;
@@ -20,7 +21,7 @@ fn check(name: &str, trace: &str) -> (Option<i32>, String) {
 
 /// Runs `blap-trace <command> <trace> [extra..]` on `trace` written to a
 /// temporary file, returning the exit code and stderr.
-fn blap_trace(command: &[&str], name: &str, trace: &str) -> (Option<i32>, String) {
+fn blap_trace(command: &[&str], name: &str, trace: impl AsRef<[u8]>) -> (Option<i32>, String) {
     let path = temp_path(name);
     std::fs::write(&path, trace).expect("write trace");
     let (subcommand, extra) = command.split_first().expect("a subcommand");
@@ -69,19 +70,80 @@ fn non_rfc_8259_lines_are_parse_errors() {
     assert_eq!(code, Some(0), "{stderr}");
 }
 
+/// Runs every trace reader on `trace` (written under `name`): `check`,
+/// `timeline`, `convert` and `diff` against a copy of itself. Each must
+/// exit 2 with every one of `wants` in its stderr.
+fn every_reader_refuses(name: &str, trace: &[u8], wants: &[&str]) {
+    let out = temp_path(&format!("{name}.out"));
+    let copy = temp_path(&format!("{name}.copy"));
+    std::fs::write(&copy, trace).expect("write copy");
+    let (out, copy) = (out.to_str().expect("utf8"), copy.to_str().expect("utf8"));
+    for command in [
+        &["check"][..],
+        &["timeline"],
+        &["convert", out],
+        &["diff", copy],
+    ] {
+        let (code, stderr) = blap_trace(command, name, trace);
+        assert_eq!(code, Some(2), "{command:?}: {stderr}");
+        for want in wants {
+            assert!(stderr.contains(want), "{command:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(out);
+    let _ = std::fs::remove_file(copy);
+}
+
 #[test]
 fn unknown_event_kinds_are_rejected_by_every_reader() {
     let trace = "{\"t\":0,\"ev\":\"nonsense\"}\n{\"t\":1,\"ev\":\"nonsense\"}\n";
-    let out = temp_path("unknown-kind.bin");
-    let out = out.to_str().expect("utf8");
-    for command in [&["check"][..], &["timeline"], &["convert", out]] {
-        let (code, stderr) = blap_trace(command, "unknown-kind.jsonl", trace);
-        assert_eq!(code, Some(2), "{command:?}: {stderr}");
-        assert!(stderr.contains("line 1"), "{command:?}: {stderr}");
-        assert!(
-            stderr.contains("unknown event kind \"nonsense\""),
-            "{command:?}: {stderr}"
-        );
+    every_reader_refuses(
+        "unknown-kind.jsonl",
+        trace.as_bytes(),
+        &["line 1", "unknown event kind \"nonsense\""],
+    );
+}
+
+#[test]
+fn an_event_past_the_size_limit_is_refused_as_jsonl() {
+    // A 2 MiB warning: `check` used to pass it, and `convert` wrote it
+    // as a BLAPTRC1 frame that `check` then refused.
+    let trace = format!(
+        "{{\"t\":0,\"ev\":\"warning\",\"message\":\"{}\"}}\n",
+        "x".repeat(2 << 20)
+    );
+    every_reader_refuses(
+        "huge-line.jsonl",
+        trace.as_bytes(),
+        &["trace line 1", "line is longer than the 1048576-byte limit"],
+    );
+}
+
+/// Appends `n` as a LEB128 varint.
+fn varint(out: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        out.push((n as u8 & 0x7f) | 0x80);
+        n >>= 7;
     }
-    let _ = std::fs::remove_file(out);
+    out.push(n as u8);
+}
+
+#[test]
+fn an_event_past_the_size_limit_is_refused_as_blaptrc1() {
+    // A `warning` frame of 200 000 control bytes: its payload is under
+    // the limit, but each byte renders as a six-byte `\u00XX` escape, so
+    // its JSONL line is over it. No reader may pass it on.
+    let message = vec![0x01u8; 200_000];
+    let mut payload = vec![13, 0]; // the `warning` tag, no flags
+    varint(&mut payload, 0); // t
+    varint(&mut payload, message.len() as u64);
+    payload.extend_from_slice(&message);
+    let mut trace = b"BLAPTRC1".to_vec();
+    varint(&mut trace, payload.len() as u64);
+    trace.extend_from_slice(&payload);
+    every_reader_refuses(
+        "huge-frame.bin",
+        &trace,
+        &["binary trace frame 0", "over the 1048576-byte limit"],
+    );
 }

@@ -273,7 +273,7 @@ mod tests {
         let err = analyze_trace("{\"t\":1,\"ev\":\"warning\"}\nnot json\n").unwrap_err();
         assert_eq!(err.line, 2);
         let err = analyze_trace("{\"ev\":\"missing-t\"}\n").unwrap_err();
-        assert!(err.message.contains("\"t\""), "{err}");
+        assert!(err.message.contains("t: missing"), "{err}");
     }
 
     #[test]

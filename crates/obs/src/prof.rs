@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::json::escape;
+use crate::json::{self, Layout};
 
 /// The environment variable that enables profiling (`BLAP_PROF=1`).
 pub const ENV_VAR: &str = "BLAP_PROF";
@@ -511,48 +511,39 @@ impl Report {
     /// Renders the sidecar `profile.json` document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"blap-prof-v1\",\n  \"scopes\": [");
-        for (i, (path, node)) in self.walk().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"path\":\"{}\",\"calls\":{},\"total_ns\":{},\"self_ns\":{},\"alloc_count\":{},\"alloc_bytes\":{}}}",
-                escape(path),
-                node.calls,
-                node.total_ns,
-                node.self_ns,
-                node.alloc_count,
-                node.alloc_bytes
-            );
-        }
-        out.push_str("\n  ],\n  \"pools\": [");
-        for (i, pool) in self.pools.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"pool\":\"{}\",\"runs\":{},\"wall_ns\":{},\"utilization\":{:.4},\"workers\":[",
-                escape(&pool.pool),
-                pool.runs,
-                pool.wall_ns,
-                pool.utilization()
-            );
-            for (j, w) in pool.workers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::object(&mut out, Layout::Lines, |w| {
+            w.str("schema", "blap-prof-v1");
+            w.array("scopes", Layout::Lines, |w| {
+                for (path, node) in self.walk() {
+                    w.object("", Layout::Compact, |w| {
+                        w.str("path", &path).u64("calls", node.calls);
+                        w.u64("total_ns", node.total_ns)
+                            .u64("self_ns", node.self_ns);
+                        w.u64("alloc_count", node.alloc_count);
+                        w.u64("alloc_bytes", node.alloc_bytes);
+                    });
                 }
-                let _ = write!(
-                    out,
-                    "{{\"worker\":{},\"tasks\":{},\"busy_ns\":{},\"imbalance\":{:.4}}}",
-                    w.worker, w.tasks, w.busy_ns, w.imbalance
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
+            });
+            w.array("pools", Layout::Lines, |w| {
+                for pool in &self.pools {
+                    w.object("", Layout::Compact, |w| {
+                        w.str("pool", &pool.pool).u64("runs", pool.runs);
+                        w.u64("wall_ns", pool.wall_ns);
+                        w.f64("utilization", pool.utilization(), 4);
+                        w.array("workers", Layout::Compact, |w| {
+                            for worker in &pool.workers {
+                                w.object("", Layout::Compact, |w| {
+                                    w.u64("worker", worker.worker as u64);
+                                    w.u64("tasks", worker.tasks).u64("busy_ns", worker.busy_ns);
+                                    w.f64("imbalance", worker.imbalance, 4);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 

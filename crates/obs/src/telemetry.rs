@@ -29,10 +29,11 @@
 //!   trial *results* never flow through it, so a torn read can at worst
 //!   make one snapshot momentarily stale.
 //!
-//! The reader half ([`read_snapshot_file`], [`parse_snapshot_line`])
-//! tolerates a torn final line — the file is being appended to while it
-//! is read, and a `--stop-after` kill can leave a half-written tail —
-//! so `blap-top` keeps rendering from whatever prefix is complete.
+//! The reader half is [`parse_snapshot_line`]; `blap-top`'s one sidecar
+//! reader feeds it complete lines only and tolerates a torn final line —
+//! the file is being appended to while it is read, and a `--stop-after`
+//! kill can leave a half-written tail — so the dashboard keeps rendering
+//! from whatever prefix is complete.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -41,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::json::{self, escape, Value};
+use crate::json::{self, DecodeError, Fault, Layout, Value};
 
 /// Snapshot schema version stamped into every line (`"v":1`).
 pub const SCHEMA_VERSION: u64 = 1;
@@ -340,148 +341,96 @@ pub fn sample(seq: u64, prev: Option<&TelemetrySnapshot>, dropped: u64) -> Telem
 }
 
 impl TelemetrySnapshot {
-    /// Renders the snapshot as one JSONL line (no trailing newline).
-    /// Hand-rolled like the metrics renderer: deterministic member
-    /// order, every label through the shared escaper, floats at fixed
-    /// precision so render → parse → render is byte-exact.
+    /// Renders the snapshot as one JSONL line (no trailing newline):
+    /// deterministic member order, every label through the shared
+    /// escaper, floats at fixed precision so render → parse → render is
+    /// byte-exact.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"v\":{},\"seq\":{},\"wall_ms\":{},\"virtual_us\":{},\
-             \"trials\":{},\"trials_total\":{},\"shards\":{},\"shards_total\":{},\
-             \"trials_per_sec\":{:.1},\"eta_ms\":{},\"violations\":{},\"dropped\":{}",
-            self.version,
-            self.seq,
-            self.wall_ms,
-            self.virtual_us,
-            self.trials,
-            self.trials_total,
-            self.shards,
-            self.shards_total,
-            self.trials_per_sec,
-            self.eta_ms,
-            self.violations,
-            self.dropped,
-        );
-        out.push_str(",\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"tasks\":{},\"busy_ms\":{},\"utilization\":{:.4}}}",
-                w.worker, w.tasks, w.busy_ms, w.utilization
-            );
-        }
-        out.push_str("],\"races\":{");
-        for (i, (label, cell)) in self.races.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"wins\":{},\"trials\":{}}}",
-                escape(label),
-                cell.wins,
-                cell.trials
-            );
-        }
-        out.push_str("}}");
+        json::object(&mut out, Layout::Compact, |w| {
+            w.u64("v", self.version).u64("seq", self.seq);
+            w.u64("wall_ms", self.wall_ms)
+                .u64("virtual_us", self.virtual_us);
+            w.u64("trials", self.trials)
+                .u64("trials_total", self.trials_total);
+            w.u64("shards", self.shards)
+                .u64("shards_total", self.shards_total);
+            w.f64("trials_per_sec", self.trials_per_sec, 1);
+            w.u64("eta_ms", self.eta_ms)
+                .u64("violations", self.violations);
+            w.u64("dropped", self.dropped);
+            w.array("workers", Layout::Compact, |w| {
+                for lane in &self.workers {
+                    w.object("", Layout::Compact, |w| {
+                        w.u64("worker", lane.worker).u64("tasks", lane.tasks);
+                        w.u64("busy_ms", lane.busy_ms);
+                        w.f64("utilization", lane.utilization, 4);
+                    });
+                }
+            });
+            w.object("races", Layout::Compact, |w| {
+                for (label, cell) in &self.races {
+                    w.object(label, Layout::Compact, |w| {
+                        w.u64("wins", cell.wins).u64("trials", cell.trials);
+                    });
+                }
+            });
+        });
         out
     }
 
     /// Parses a snapshot back from a parsed JSON value — the exact
-    /// inverse of [`TelemetrySnapshot::to_json_line`].
-    pub fn from_value(value: &Value) -> Result<TelemetrySnapshot, String> {
-        let uint = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("snapshot field {key:?} missing or not an integer"))
-        };
-        let float = |key: &str| {
-            match value.get(key) {
-                Some(Value::Num(n)) => n.parse::<f64>().ok(),
-                _ => None,
-            }
-            .ok_or_else(|| format!("snapshot field {key:?} missing or not a number"))
-        };
-        let version = uint("v")?;
+    /// inverse of [`TelemetrySnapshot::to_json_line`]: only what it
+    /// renders is accepted.
+    pub fn from_value(value: &Value) -> Result<TelemetrySnapshot, DecodeError> {
+        let doc = value.field();
+        let version = doc.u64("v")?;
         if version != SCHEMA_VERSION {
-            return Err(format!(
+            return Err(doc.get("v")?.error(Fault::Invalid(format!(
                 "snapshot version {version} is not the supported {SCHEMA_VERSION}"
-            ));
+            ))));
         }
-        let mut workers = Vec::new();
-        match value.get("workers") {
-            Some(Value::Array(items)) => {
-                for item in items {
-                    let wuint = |key: &str| {
-                        item.get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("worker field {key:?} missing"))
-                    };
-                    let utilization = match item.get("utilization") {
-                        Some(Value::Num(n)) => n
-                            .parse::<f64>()
-                            .map_err(|_| "worker utilization is not a number".to_owned())?,
-                        _ => return Err("worker field \"utilization\" missing".to_owned()),
-                    };
-                    workers.push(WorkerLane {
-                        worker: wuint("worker")?,
-                        tasks: wuint("tasks")?,
-                        busy_ms: wuint("busy_ms")?,
-                        utilization,
-                    });
-                }
-            }
-            _ => return Err("snapshot field \"workers\" missing or not an array".to_owned()),
-        }
-        let mut races = Vec::new();
-        match value.get("races") {
-            Some(Value::Object(members)) => {
-                for (label, cell) in members {
-                    let cuint = |key: &str| {
-                        cell.get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("race cell field {key:?} missing"))
-                    };
-                    races.push((
-                        label.clone(),
-                        RaceCell {
-                            wins: cuint("wins")?,
-                            trials: cuint("trials")?,
-                        },
-                    ));
-                }
-            }
-            _ => return Err("snapshot field \"races\" missing or not an object".to_owned()),
-        }
-        Ok(TelemetrySnapshot {
+        let mut snapshot = TelemetrySnapshot {
             version,
-            seq: uint("seq")?,
-            wall_ms: uint("wall_ms")?,
-            virtual_us: uint("virtual_us")?,
-            trials: uint("trials")?,
-            trials_total: uint("trials_total")?,
-            shards: uint("shards")?,
-            shards_total: uint("shards_total")?,
-            trials_per_sec: float("trials_per_sec")?,
-            eta_ms: uint("eta_ms")?,
-            violations: uint("violations")?,
-            dropped: uint("dropped")?,
-            workers,
-            races,
-        })
+            seq: doc.u64("seq")?,
+            wall_ms: doc.u64("wall_ms")?,
+            virtual_us: doc.u64("virtual_us")?,
+            trials: doc.u64("trials")?,
+            trials_total: doc.u64("trials_total")?,
+            shards: doc.u64("shards")?,
+            shards_total: doc.u64("shards_total")?,
+            trials_per_sec: doc.get("trials_per_sec")?.as_f64()?,
+            eta_ms: doc.u64("eta_ms")?,
+            violations: doc.u64("violations")?,
+            dropped: doc.u64("dropped")?,
+            workers: Vec::new(),
+            races: Vec::new(),
+        };
+        let workers = doc.get("workers")?;
+        for lane in workers.items()? {
+            snapshot.workers.push(WorkerLane {
+                worker: lane.u64("worker")?,
+                tasks: lane.u64("tasks")?,
+                busy_ms: lane.u64("busy_ms")?,
+                utilization: lane.get("utilization")?.as_f64()?,
+            });
+        }
+        let races = doc.get("races")?;
+        for (label, cell) in races.members()? {
+            let wins = cell.u64("wins")?;
+            let trials = cell.u64("trials")?;
+            snapshot
+                .races
+                .push((label.to_owned(), RaceCell { wins, trials }));
+        }
+        value.check_rendering(&snapshot.to_json_line())?;
+        Ok(snapshot)
     }
 }
 
 /// Parses one sidecar line into a snapshot.
-pub fn parse_snapshot_line(line: &str) -> Result<TelemetrySnapshot, String> {
-    let value = json::parse(line).map_err(|err| err.to_string())?;
-    TelemetrySnapshot::from_value(&value)
+pub fn parse_snapshot_line(line: &str) -> Result<TelemetrySnapshot, DecodeError> {
+    TelemetrySnapshot::from_value(&json::parse(line)?)
 }
 
 // --- the ring ---------------------------------------------------------------
@@ -687,51 +636,6 @@ pub fn heartbeat_line(s: &TelemetrySnapshot) -> String {
     line
 }
 
-// --- the reader -------------------------------------------------------------
-
-/// A loaded telemetry sidecar: every complete snapshot plus whether the
-/// final line was torn (half-written when read — a live writer mid-line
-/// or a killed campaign's last append).
-#[derive(Debug, Default)]
-pub struct SnapshotFile {
-    /// Complete snapshots, in file order.
-    pub snapshots: Vec<TelemetrySnapshot>,
-    /// Whether a torn (unparseable, newline-less) final line was
-    /// skipped.
-    pub torn_tail: bool,
-}
-
-/// Reads a telemetry sidecar, tolerating a torn final line.
-///
-/// A malformed line *with* a trailing newline is a hard error (the file
-/// is corrupt, not merely in flight); a malformed or incomplete final
-/// line without one is reported via [`SnapshotFile::torn_tail`] and
-/// skipped, so a reader racing the writer — or picking up after a
-/// `--stop-after` kill — still gets every complete snapshot.
-pub fn read_snapshot_file(path: &str) -> Result<SnapshotFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-    let mut out = SnapshotFile::default();
-    let mut rest = text.as_str();
-    while !rest.is_empty() {
-        let (line, complete, tail) = match rest.find('\n') {
-            Some(pos) => (&rest[..pos], true, &rest[pos + 1..]),
-            None => (rest, false, ""),
-        };
-        rest = tail;
-        if line.is_empty() {
-            continue;
-        }
-        match parse_snapshot_line(line) {
-            Ok(snapshot) => out.snapshots.push(snapshot),
-            Err(err) if complete => {
-                return Err(format!("{path}: corrupt snapshot line: {err}"));
-            }
-            Err(_) => out.torn_tail = true,
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -903,32 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_tolerates_torn_tail_but_rejects_corrupt_body() {
-        let dir = std::env::temp_dir().join(format!("blap-telemetry-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("torn.jsonl");
-        let line = sample_snapshot().to_json_line();
-        // Two complete lines plus a torn tail (killed mid-append).
-        std::fs::write(
-            &path,
-            format!("{line}\n{line}\n{}", &line[..line.len() / 2]),
-        )
-        .expect("write");
-        let loaded = read_snapshot_file(path.to_str().expect("utf8")).expect("loads");
-        assert_eq!(loaded.snapshots.len(), 2);
-        assert!(loaded.torn_tail);
-        // A complete final line parses and is not torn.
-        std::fs::write(&path, format!("{line}\n{line}")).expect("write");
-        let loaded = read_snapshot_file(path.to_str().expect("utf8")).expect("loads");
-        assert_eq!(loaded.snapshots.len(), 2);
-        assert!(!loaded.torn_tail, "newline-less but complete line parses");
-        // Corruption *before* the tail is an error, not a skip.
-        std::fs::write(&path, format!("not json\n{line}\n")).expect("write");
-        assert!(read_snapshot_file(path.to_str().expect("utf8")).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn collector_writes_at_least_one_line_and_final_snapshot() {
         let _guard = locked();
         reset();
@@ -942,7 +820,7 @@ mod tests {
             ..Default::default()
         });
         let collector = Collector::start(
-            Some(path_str.clone()),
+            Some(path_str),
             Duration::from_secs(3600), // longer than the test: only the stop tick fires
             false,
         )
@@ -954,10 +832,14 @@ mod tests {
         assert!(!enabled(), "stop disables the hub");
         assert_eq!(report.lines_written, 1, "stop always takes a final sample");
         assert_eq!(report.ring.len(), 1);
-        let loaded = read_snapshot_file(&path_str).expect("sidecar parses");
-        assert_eq!(loaded.snapshots.len(), 1);
-        assert_eq!(loaded.snapshots[0].trials, 1);
-        assert_eq!(loaded.snapshots[0].shards, 1);
+        let sidecar = std::fs::read_to_string(&path).expect("sidecar written");
+        let snapshots: Vec<TelemetrySnapshot> = sidecar
+            .lines()
+            .map(|line| parse_snapshot_line(line).expect("sidecar parses"))
+            .collect();
+        assert_eq!(snapshots.len(), 1);
+        assert_eq!(snapshots[0].trials, 1);
+        assert_eq!(snapshots[0].shards, 1);
         let _ = std::fs::remove_dir_all(&dir);
         reset();
     }
@@ -978,6 +860,6 @@ mod tests {
             .to_json_line()
             .replacen("{\"v\":1,", "{\"v\":2,", 1);
         let err = parse_snapshot_line(&line).expect_err("future version rejected");
-        assert!(err.contains("version 2"), "{err}");
+        assert!(err.to_string().contains("version 2"), "{err}");
     }
 }

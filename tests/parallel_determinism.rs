@@ -93,7 +93,9 @@ fn table2_trace_carries_spans_and_passes_invariant_checks() {
         analysis.report()
     );
     // A run diffed against itself reports no drift, for both artifacts.
-    assert!(diff_traces(&observed.trace, &observed.trace).no_drift());
+    assert!(diff_traces(&observed.trace, &observed.trace)
+        .expect("trace lines parse")
+        .no_drift());
     let metrics_json = observed.metrics.to_json();
     assert!(diff_metrics(&metrics_json, &metrics_json)
         .expect("metrics parse")

@@ -11,7 +11,7 @@
 //! * [`paging`] — connection establishment, including the multi-listener
 //!   race that makes naive MITM only 42–60% reliable,
 //! * [`race`] — the calibrated latency model behind that race,
-//! * [`link`] — baseband ACL link records with supervision timeouts.
+//! * [`link`] — connection-handle allocation for new ACL links.
 //!
 //! # Calibration note (Table II)
 //!

@@ -1,67 +1,6 @@
-//! Baseband ACL link records.
+//! Connection-handle allocation for baseband ACL links.
 
-use blap_types::{BdAddr, ConnectionHandle, Duration, Instant, LtAddr, Role};
-
-use crate::timing;
-
-/// One established baseband ACL link, as tracked by a controller.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AclLink {
-    /// The HCI handle the controller allocated.
-    pub handle: ConnectionHandle,
-    /// The peer's (claimed) BDADDR.
-    pub peer: BdAddr,
-    /// Local role: the connection initiator becomes the piconet central and
-    /// assigns the LT_ADDR.
-    pub role: Role,
-    /// Logical transport address of the peripheral.
-    pub lt_addr: LtAddr,
-    /// When the link formed.
-    pub established_at: Instant,
-    /// Last time any traffic crossed the link (drives supervision timeout).
-    pub last_activity: Instant,
-    /// Supervision timeout in force.
-    pub supervision_timeout: Duration,
-}
-
-impl AclLink {
-    /// Creates a link record with the default supervision timeout.
-    pub fn new(
-        handle: ConnectionHandle,
-        peer: BdAddr,
-        role: Role,
-        lt_addr: LtAddr,
-        established_at: Instant,
-    ) -> Self {
-        AclLink {
-            handle,
-            peer,
-            role,
-            lt_addr,
-            established_at,
-            last_activity: established_at,
-            supervision_timeout: timing::LINK_SUPERVISION_TIMEOUT,
-        }
-    }
-
-    /// Records link activity (any frame, including the dummy SDP traffic the
-    /// paper suggests for keeping a PLOC link alive).
-    pub fn touch(&mut self, now: Instant) {
-        debug_assert!(now >= self.last_activity);
-        self.last_activity = now;
-    }
-
-    /// Whether the supervision timeout has expired at `now`.
-    pub fn is_expired(&self, now: Instant) -> bool {
-        now.duration_since(self.last_activity) >= self.supervision_timeout
-    }
-
-    /// Time remaining before supervision expiry (zero once expired).
-    pub fn time_to_expiry(&self, now: Instant) -> Duration {
-        self.supervision_timeout
-            .saturating_sub(now.duration_since(self.last_activity))
-    }
-}
+use blap_types::ConnectionHandle;
 
 /// Allocates connection handles the way small controllers do: sequentially,
 /// skipping values still in use.
@@ -95,49 +34,6 @@ impl HandleAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn link_at(t: Instant) -> AclLink {
-        AclLink::new(
-            ConnectionHandle::new(3),
-            "cc:cc:cc:cc:cc:cc".parse().unwrap(),
-            Role::Initiator,
-            LtAddr::new(1),
-            t,
-        )
-    }
-
-    #[test]
-    fn supervision_expiry() {
-        let t0 = Instant::EPOCH;
-        let link = link_at(t0);
-        assert!(!link.is_expired(t0));
-        let just_before = t0 + (timing::LINK_SUPERVISION_TIMEOUT - Duration::from_micros(1));
-        assert!(!link.is_expired(just_before));
-        let at_timeout = t0 + timing::LINK_SUPERVISION_TIMEOUT;
-        assert!(link.is_expired(at_timeout));
-    }
-
-    #[test]
-    fn touch_extends_lifetime() {
-        let t0 = Instant::EPOCH;
-        let mut link = link_at(t0);
-        let later = t0 + Duration::from_secs(15);
-        link.touch(later);
-        // Without the touch this would be expired.
-        let t_check = t0 + Duration::from_secs(25);
-        assert!(!link.is_expired(t_check));
-        assert_eq!(
-            link.time_to_expiry(t_check),
-            timing::LINK_SUPERVISION_TIMEOUT - Duration::from_secs(10)
-        );
-    }
-
-    #[test]
-    fn expiry_clamps_to_zero() {
-        let link = link_at(Instant::EPOCH);
-        let way_later = Instant::EPOCH + Duration::from_secs(100);
-        assert_eq!(link.time_to_expiry(way_later), Duration::ZERO);
-    }
 
     #[test]
     fn handle_allocation_skips_in_use() {

@@ -1,11 +1,10 @@
-//! Property tests for the baseband models: race calibration, paging
-//! resolution, link supervision.
+//! Property tests for the baseband models: race calibration and paging
+//! resolution.
 
-use blap_baseband::link::AclLink;
 use blap_baseband::paging::{resolve_page, PageListener, PageResult};
 use blap_baseband::race::{PageRaceModel, RaceWinner};
 use blap_baseband::timing;
-use blap_types::{BdAddr, ConnectionHandle, Duration, Instant, LtAddr, Role};
+use blap_types::BdAddr;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,29 +67,5 @@ proptest! {
             &mut rng,
         );
         prop_assert_eq!(miss, PageResult::Timeout);
-    }
-
-    #[test]
-    fn supervision_timeout_is_exact(idle_us in 0u64..40_000_000) {
-        let t0 = Instant::EPOCH;
-        let link = AclLink::new(
-            ConnectionHandle::new(1),
-            BdAddr::ZERO,
-            Role::Initiator,
-            LtAddr::new(1),
-            t0,
-        );
-        let t = t0 + Duration::from_micros(idle_us);
-        let expired = link.is_expired(t);
-        prop_assert_eq!(
-            expired,
-            idle_us >= timing::LINK_SUPERVISION_TIMEOUT.as_micros()
-        );
-        if !expired {
-            prop_assert_eq!(
-                link.time_to_expiry(t),
-                timing::LINK_SUPERVISION_TIMEOUT - Duration::from_micros(idle_us)
-            );
-        }
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! `compare` diffs two `BENCH_hotpaths.json` artifacts and gates on the
 //! per-metric thresholds: exit 0 on pass (or a cross-host excusal), 1 on a
-//! same-host regression, 2 on usage/parse errors. `--history` appends one
+//! same-host regression, 2 on a usage error or an artifact it cannot read,
+//! decode or (under `--strict`) gate. `--history` appends one
 //! JSONL record per run to the given file. `--strict` turns cross-host
 //! excusals into failures.
 //!
@@ -28,8 +29,15 @@ const USAGE: &str = "usage:\n  blap-bench compare <baseline.json> <fresh.json> [
                      [--history PATH]\n  \
                      blap-bench prof <table1|table2> [positionals] [--jobs N] [--profile PREFIX]";
 
+/// A command-line mistake: the error, then the usage text.
 fn usage_exit(message: &str) -> ! {
     eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// A well-formed command that cannot run on its inputs: the error alone.
+fn error_exit(message: &str) -> ! {
+    eprintln!("error: {message}");
     std::process::exit(2);
 }
 
@@ -71,12 +79,10 @@ fn run_compare(mut argv: impl Iterator<Item = String>) -> ! {
     };
     let read = |path: &str| {
         std::fs::read_to_string(path)
-            .unwrap_or_else(|err| usage_exit(&format!("cannot read {path}: {err}")))
+            .unwrap_or_else(|err| error_exit(&format!("cannot read {path}: {err}")))
     };
-    let comparison = match compare(&read(baseline_path), &read(fresh_path), &config) {
-        Ok(comparison) => comparison,
-        Err(err) => usage_exit(&err.to_string()),
-    };
+    let comparison = compare(&read(baseline_path), &read(fresh_path), &config)
+        .unwrap_or_else(|err| error_exit(&err.to_string()));
     print!("{}", comparison.render());
     if let Some(history_path) = history {
         let unix_time = SystemTime::now()
@@ -110,8 +116,7 @@ fn append_line(path: &str, line: &str) {
         .open(path)
         .and_then(|mut file| file.write_all(line.as_bytes()));
     if let Err(err) = result {
-        eprintln!("error: cannot append to {path}: {err}");
-        std::process::exit(2);
+        error_exit(&format!("cannot append to {path}: {err}"));
     }
 }
 

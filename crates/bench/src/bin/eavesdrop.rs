@@ -3,17 +3,16 @@
 //!
 //! ```text
 //! cargo run --release -p blap-bench --bin eavesdrop -- \
-//!     [--frames N] [--frame-len N] [--reference] \
+//!     [--frames N] [--frame-len N] \
 //!     [--metrics out/metrics.json] [--jobs N]
 //! ```
 //!
 //! Without flags, runs the narrative scenario: an encrypted PBAP session
 //! captured by a passive sniffer, then decrypted offline with the
 //! extracted key. With `--frames`/`--frame-len`, additionally sweeps a
-//! synthetic capture of that shape through the decrypt engine — the
-//! batched `open_many` pipeline by default, the scalar per-frame
-//! reference under `--reference`. The recovered plaintexts and the
-//! metrics artifact are byte-identical for both engines and at any
+//! synthetic capture of that shape through the decrypt engine
+//! (`decrypt_capture`, which opens the capture in batches). The recovered
+//! plaintexts and the metrics artifact are byte-identical at any
 //! `BLAP_JOBS` value; wall time and the derived
 //! `eavesdrop.bytes_per_second` only appear under `BLAP_METRICS_WALL=1`,
 //! the same opt-in the rest of the artifacts use.
@@ -21,7 +20,7 @@
 use std::time::Instant as WallInstant;
 
 use blap::addrs;
-use blap::eavesdrop::{decrypt_capture, decrypt_capture_batched, EavesdropScenario};
+use blap::eavesdrop::{decrypt_capture, EavesdropScenario};
 use blap_bench::cli::{self, Args};
 use blap_crypto::{ccm, ssp};
 use blap_obs::{MetaValue, Metrics};
@@ -29,10 +28,9 @@ use blap_sim::SniffedFrame;
 use blap_types::{BdAddr, Instant, LinkKey};
 
 fn main() {
-    let args = Args::parse_with(&["--frames", "--frame-len"], &["--reference"]);
+    let args = Args::parse_with(&["--frames", "--frame-len"], &[]);
     let frames: usize = args.extra_or("--frames", 0).unwrap_or_else(die);
     let frame_len: usize = args.extra_or("--frame-len", 64).unwrap_or_else(die);
-    let reference = args.has_switch("--reference");
     // Decryption is a single offline pass; jobs is accepted for CLI
     // uniformity and to document that the artifact is identical at any
     // value.
@@ -42,7 +40,7 @@ fn main() {
 
     let mut metrics = Metrics::new();
     if frames > 0 {
-        sweep(frames, frame_len, reference, &mut metrics);
+        sweep(frames, frame_len, &mut metrics);
     } else {
         scenario_demo(&mut metrics);
     }
@@ -118,13 +116,8 @@ fn scenario_demo(metrics: &mut Metrics) {
 /// per-frame counter nonce), so the attacker-side path under test is the
 /// genuine one: find `LMP_au_rand`, replay the schedule, brute the
 /// handle, decrypt.
-fn sweep(frames: usize, frame_len: usize, reference: bool, metrics: &mut Metrics) {
-    let engine = if reference {
-        "scalar-reference"
-    } else {
-        "batched"
-    };
-    println!("== Eavesdrop decrypt sweep ({frames} x {frame_len}B, engine: {engine}) ==\n");
+fn sweep(frames: usize, frame_len: usize, metrics: &mut Metrics) {
+    println!("== Eavesdrop decrypt sweep ({frames} x {frame_len}B, engine: batched) ==\n");
 
     let c_addr: BdAddr = addrs::C.parse().expect("valid address");
     let m_addr: BdAddr = addrs::M.parse().expect("valid address");
@@ -168,16 +161,11 @@ fn sweep(frames: usize, frame_len: usize, reference: bool, metrics: &mut Metrics
     // measure something — a pure function of the flags, so the artifact
     // stays deterministic.
     let reps = (2_000_000 / (frames * frame_len.max(1)).max(1)).clamp(1, 1000) as u32;
-    let decrypt = if reference {
-        decrypt_capture
-    } else {
-        decrypt_capture_batched
-    };
-    let plain = decrypt(&capture, link_key, c_addr, m_addr);
+    let plain = decrypt_capture(&capture, link_key, c_addr, m_addr);
     assert_eq!(plain, expected, "decrypt engine must recover every frame");
     let sweep_started = WallInstant::now();
     for _ in 0..reps {
-        std::hint::black_box(decrypt(
+        std::hint::black_box(decrypt_capture(
             std::hint::black_box(&capture),
             link_key,
             c_addr,

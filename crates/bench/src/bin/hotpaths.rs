@@ -1,7 +1,7 @@
 //! Hot-path benchmark summary: one JSON artifact (`BENCH_hotpaths.json`)
 //! covering the kernels the perf work targets — HCI encode/decode, the
-//! AES-CCM link cipher (scalar and batched `open_many`), the batched
-//! eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
+//! AES-CCM link cipher (single-frame and the batched `open_many_into`),
+//! the eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
 //! loop, the P-256 field multiply, key generation and ECDH (the Stage-1
 //! exchange behind every simulated pairing), the trace read path
 //! (`StreamAnalyzer::push_line` per line, and `FrameReader::next_frame`
@@ -30,7 +30,7 @@
 //! `blap-benchmark`, which breaks each trial down by layer.
 
 use blap::campaign::{Campaign, Population};
-use blap::eavesdrop::decrypt_capture_batched;
+use blap::eavesdrop::decrypt_capture;
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
 use blap::{addrs, extract};
@@ -178,7 +178,7 @@ fn main() {
     let ccm_open_bytes_per_sec = payload.len() as f64 * 1e9 / ccm_open_batched;
 
     // Eavesdrop pipeline: batched decrypt of a real sniffed capture
-    // (session-key replay + handle resolution + open_many), per encrypted
+    // (session-key replay + handle resolution + open_many_into), per encrypted
     // frame. The capture is built once outside the timed region.
     let (eaves_frames, eaves_key, eaves_c, eaves_m) = eavesdrop_capture();
     let n_encrypted = eaves_frames
@@ -195,7 +195,7 @@ fn main() {
         .count();
     assert!(n_encrypted > 0, "capture must contain encrypted frames");
     let eavesdrop_decrypt = ns_per_op(500, || {
-        black_box(decrypt_capture_batched(
+        black_box(decrypt_capture(
             black_box(&eaves_frames),
             eaves_key,
             eaves_c,

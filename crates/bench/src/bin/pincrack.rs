@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! cargo run --release -p blap-bench --bin pincrack -- [pin] [jobs] \
-//!     [--digits N] [--trials N] [--reference] \
+//!     [--digits N] [--trials N] \
 //!     [--metrics out/metrics.json] [--jobs N]
 //! ```
 //!
 //! `--digits` bounds the search space (default 6: the full 1,111,110
 //! candidate numeric space); `--trials` repeats the sweep for steadier
-//! rate numbers; `--reference` swaps the batched kernels for the serial
-//! scalar reference scan. `jobs` (or the `BLAP_JOBS` environment variable)
+//! rate numbers. `jobs` (or the `BLAP_JOBS` environment variable)
 //! sets the worker count; the recovered PIN, attempt count, and metrics
 //! artifact are byte-identical at any value and any trial count.
 //!
@@ -23,15 +22,12 @@
 
 use std::time::{Duration, Instant};
 
-use blap::legacy_pin::{
-    crack_numeric_pin_reference, crack_numeric_pin_with, CrackResult, LegacyPairingCapture,
-    MAX_PIN_DIGITS,
-};
+use blap::legacy_pin::{crack_numeric_pin_with, CrackResult, LegacyPairingCapture, MAX_PIN_DIGITS};
 use blap_bench::cli::{self, Args};
 use blap_obs::{MetaValue, Metrics};
 
 fn main() {
-    let args = Args::parse_with(&["--digits", "--trials"], &["--reference"]);
+    let args = Args::parse_with(&["--digits", "--trials"], &[]);
     let pin = args
         .positional
         .first()
@@ -40,7 +36,6 @@ fn main() {
     let jobs = args.resolve_jobs(1);
     let digits: u32 = args.extra_or("--digits", 6).unwrap_or_else(die);
     let trials: u32 = args.extra_or("--trials", 1).unwrap_or_else(die);
-    let reference = args.has_switch("--reference");
     if !(1..=MAX_PIN_DIGITS).contains(&digits) {
         die::<u32>(format!(
             "--digits must be between 1 and {MAX_PIN_DIGITS} (E22 PINs are 1-16 digits)"
@@ -50,15 +45,10 @@ fn main() {
         die::<u32>("--trials must be at least 1".to_owned());
     }
     args.init_profiling();
-    let engine = if reference {
-        "scalar-reference"
-    } else {
-        "batch"
-    };
     println!("== Legacy PIN cracking (E22/E21/E1 offline search) ==\n");
     println!(
         "synthesizing a sniffed legacy pairing with PIN {pin:?} \
-         (search space: up to {digits} digits, engine: {engine})...\n"
+         (search space: up to {digits} digits, engine: batch)...\n"
     );
 
     let capture = LegacyPairingCapture::synthesize(
@@ -76,11 +66,7 @@ fn main() {
     let mut outcome: Option<Option<CrackResult>> = None;
     for trial in 0..trials {
         let sweep = Instant::now();
-        let result = if reference {
-            crack_numeric_pin_reference(&capture, digits)
-        } else {
-            crack_numeric_pin_with(&capture, digits, jobs)
-        };
+        let result = crack_numeric_pin_with(&capture, digits, jobs);
         let elapsed = sweep.elapsed();
         total_wall += elapsed;
         if let Some(result) = &result {
@@ -139,7 +125,7 @@ fn main() {
             path,
             &[
                 ("experiment", MetaValue::Str("pincrack".to_owned())),
-                ("engine", MetaValue::Str(engine.to_owned())),
+                ("engine", MetaValue::Str("batch".to_owned())),
                 ("digits", MetaValue::Int(digits as u64)),
             ],
             &metrics,

@@ -49,7 +49,7 @@ impl Args {
     }
 
     /// [`Args::parse`] plus binary-specific flags: `valued` flags take one
-    /// value (`--digits 6`), `switches` take none (`--reference`). Anything
+    /// value (`--digits 6`), `switches` take none (`--once`). Anything
     /// not in either list still errors as unknown.
     pub fn parse_with(valued: &[&str], switches: &[&str]) -> Args {
         match Args::try_from_iter_with(std::env::args().skip(1), valued, switches) {

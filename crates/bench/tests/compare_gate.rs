@@ -166,6 +166,53 @@ fn zero_baseline_skips_lax_and_exits_two_strict() {
 }
 
 #[test]
+fn bad_artifacts_exit_two_without_usage() {
+    // A truncated artifact, an unreadable path and (under --strict) an
+    // ungateable metric are input faults, not command-line mistakes: the
+    // error alone, no usage text.
+    let baseline = std::fs::read_to_string(committed_baseline()).expect("baseline readable");
+    let truncated = scratch_path("truncated.json");
+    std::fs::write(&truncated, &baseline[..100]).expect("scratch artifact written");
+    let missing = scratch_path("missing.json");
+    let _ = std::fs::remove_file(&missing);
+    let (at, end) = value_span(&baseline, "\"pincrack_candidates_per_sec\": ");
+    let zeroed = scratch_path("zeroed.json");
+    std::fs::write(
+        &zeroed,
+        format!("{}0.0{}", &baseline[..at], &baseline[end..]),
+    )
+    .expect("scratch artifact written");
+    let committed = committed_baseline();
+    let path = |p: &std::path::PathBuf| p.to_str().expect("utf8 path").to_owned();
+    for (args, expected) in [
+        (
+            vec![committed.clone(), path(&truncated)],
+            "error: fresh: JSON parse error at byte 100",
+        ),
+        (
+            vec![committed.clone(), path(&missing)],
+            "error: cannot read",
+        ),
+        (
+            vec![path(&zeroed), committed.clone(), "--strict".to_owned()],
+            "ratio undefined",
+        ),
+    ] {
+        let output = blap_bench()
+            .arg("compare")
+            .args(&args)
+            .output()
+            .expect("gate binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&truncated);
+    let _ = std::fs::remove_file(&zeroed);
+}
+
+#[test]
 fn usage_errors_exit_two() {
     for args in [
         &["compare"] as &[&str],

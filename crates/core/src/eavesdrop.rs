@@ -19,16 +19,15 @@
 //! Everything the attacker uses in step 3 is public (sniffed) except the
 //! link key — which is the point.
 
-use blap_crypto::ccm::{self, Ccm, OpenBatch, SealedFrame, KEY_LANES};
+use blap_crypto::ccm::{self, Ccm, OpenBatch, SealedFrame};
 use blap_crypto::ssp;
 use blap_obs::prof;
-use blap_sim::{profiles, DeviceId, SniffedFrame, World};
+use blap_sim::{profiles, SniffedFrame, World};
 use blap_types::{BdAddr, Duration, LinkKey, ServiceUuid};
 
-/// ACL connection handles the simulation allocates; the batched decrypt
-/// paths brute-force this space exactly like the scalar reference (the
-/// handle is not sniffable at the layer the capture models — a real
-/// attacker reads it from the baseband header).
+/// ACL connection handles the simulation allocates; the decrypt engine
+/// brute-forces this space (the handle is not sniffable at the layer the
+/// capture models — a real attacker reads it from the baseband header).
 const HANDLE_SPACE: u16 = 8;
 
 use crate::addrs;
@@ -106,7 +105,7 @@ impl EavesdropScenario {
             return report;
         };
 
-        report.decrypted_secrets = decrypt_capture_batched(&frames, key, c_addr, m_addr)
+        report.decrypted_secrets = decrypt_capture(&frames, key, c_addr, m_addr)
             .into_iter()
             .filter(|p| self.secrets.contains(p))
             .collect();
@@ -140,11 +139,10 @@ fn find_au_rand(frames: &[SniffedFrame]) -> Option<[u8; 16]> {
     })
 }
 
-/// Replays the session-key schedule from a (candidate) link key and the
+/// Replays the session-key schedule from the stolen link key and the
 /// sniffed challenge: recompute the ACO via the secure authentication
 /// response, then derive the encryption key with `h3` (central first,
-/// like the controllers do). Shared by the scalar reference, the batched
-/// decrypt path, and [`KeyConfirm`].
+/// like the controllers do).
 fn session_key(
     stolen_key: &LinkKey,
     au_rand: &[u8; 16],
@@ -160,7 +158,7 @@ fn session_key(
 }
 
 /// The nonce and ciphertext of every encrypted ACL frame, in capture
-/// order — the inputs both decrypt engines brute-force handles over.
+/// order — the inputs the decrypt engine brute-forces handles over.
 fn encrypted_acl_frames(
     frames: &[SniffedFrame],
     central: BdAddr,
@@ -186,59 +184,18 @@ fn encrypted_acl_frames(
 /// initiated the profile connection, so `C` is the verifier); the central
 /// of the link is also `C` here since it paged.
 ///
-/// This is the retained scalar reference: one frame, one handle attempt,
-/// one AES block at a time. The production path is
-/// [`decrypt_capture_batched`]; tests pin the two byte-identical.
-pub fn decrypt_capture(
-    frames: &[SniffedFrame],
-    stolen_key: LinkKey,
-    verifier: BdAddr,
-    prover: BdAddr,
-) -> Vec<Vec<u8>> {
-    // 1. Recover the ACO from the sniffed challenge and derive the session
-    //    encryption key.
-    let Some(au_rand) = find_au_rand(frames) else {
-        return Vec::new();
-    };
-    let enc_key = session_key(&stolen_key, &au_rand, verifier, prover);
-
-    // 2. Decrypt every encrypted frame, reconstructing the nonce from the
-    //    frame's position in the capture and brute-forcing the handle
-    //    space. One CCM context serves the whole capture: the session key
-    //    is fixed, so the AES key schedule is expanded once, not per
-    //    frame × handle attempt.
-    let ccm = Ccm::new(&enc_key);
-    let mut plaintexts = Vec::new();
-    for (nonce, data) in encrypted_acl_frames(frames, verifier) {
-        for handle in 1..=HANDLE_SPACE {
-            if let Ok(plain) = ccm.open(&nonce, &handle.to_le_bytes(), data) {
-                plaintexts.push(plain);
-                break;
-            }
-        }
-    }
-    plaintexts
-}
-
-/// [`decrypt_capture`] rebuilt around the batched CCM API — the
-/// campaign-scale engine.
+/// The ACL handle is not in the capture, so the engine brute-forces it
+/// once per link, not once per frame:
 ///
-/// Three structural wins over the scalar reference:
-///
-/// 1. the ACL handle is resolved **once per link** with the zero-alloc
-///    [`Ccm::verify`] probe instead of re-brute-forced per frame (a fixed
-///    link keeps its handle, so the scalar loop's per-frame sweep does up
-///    to [`HANDLE_SPACE`]× redundant work),
+/// 1. the first frame that opens under some handle, trying frames in
+///    capture order and handles ascending, fixes the link's handle;
 /// 2. the whole capture then flows through [`Ccm::open_many_into`], which
-///    interleaves CTR keystream blocks across [`ccm::FRAME_LANES`] frames
-///    and runs their CBC-MAC chains in lockstep,
-/// 3. plaintexts land in one reused arena ([`OpenBatch`]) instead of a
-///    fresh `Vec` per frame × handle attempt.
-///
-/// Frames that fail under the resolved handle (another link interleaved
-/// into the capture, or garbage) fall back to the scalar first-success
-/// handle order, so the output is byte-identical to [`decrypt_capture`].
-pub fn decrypt_capture_batched(
+///    runs [`ccm::FRAME_LANES`] frames' CTR blocks and CBC-MAC chains in
+///    lockstep into one reused arena ([`OpenBatch`]);
+/// 3. a frame that fails under that handle (another link interleaved into
+///    the capture, or garbage) is retried under each handle in ascending
+///    order, so the result equals a per-frame, per-handle search.
+pub fn decrypt_capture(
     frames: &[SniffedFrame],
     stolen_key: LinkKey,
     verifier: BdAddr,
@@ -248,27 +205,25 @@ pub fn decrypt_capture_batched(
     let Some(au_rand) = find_au_rand(frames) else {
         return Vec::new();
     };
-    let enc_key = session_key(&stolen_key, &au_rand, verifier, prover);
-    let ccm = Ccm::new(&enc_key);
-
+    let ccm = Ccm::new(&session_key(&stolen_key, &au_rand, verifier, prover));
     let encrypted = encrypted_acl_frames(frames, verifier);
-    if encrypted.is_empty() {
-        return Vec::new();
-    }
 
-    // Resolve the link's handle once, in the scalar engine's probe order
-    // (frames in capture order, handles ascending) so the two paths agree
-    // even in pathological captures.
+    // `scratch` takes the probe's plaintexts here and the fallback's
+    // below: one buffer, allocation-free once warm.
     let handle_aads: [[u8; 2]; HANDLE_SPACE as usize] =
         core::array::from_fn(|i| (i as u16 + 1).to_le_bytes());
-    let resolved = encrypted.iter().find_map(|(nonce, data)| {
+    let mut scratch = Vec::new();
+    let open_any = |nonce: &[u8; ccm::NONCE_LEN], data: &[u8], scratch: &mut Vec<u8>| {
         handle_aads
             .iter()
-            .position(|aad| ccm.verify(nonce, aad, data).is_ok())
-    });
-    let Some(handle_idx) = resolved else {
+            .find(|aad| ccm.open_into(nonce, &aad[..], data, scratch).is_ok())
+    };
+    let Some(link_aad) = encrypted
+        .iter()
+        .find_map(|(nonce, data)| open_any(nonce, data, &mut scratch))
+    else {
         // No frame authenticates under any handle: wrong key or foreign
-        // capture. The scalar path decrypts nothing here too.
+        // capture.
         return Vec::new();
     };
 
@@ -276,7 +231,7 @@ pub fn decrypt_capture_batched(
         .iter()
         .map(|(nonce, data)| SealedFrame {
             nonce: *nonce,
-            aad: &handle_aads[handle_idx],
+            aad: link_aad,
             ciphertext_and_tag: data,
         })
         .collect();
@@ -284,134 +239,17 @@ pub fn decrypt_capture_batched(
     ccm.open_many_into(&sealed, &mut batch);
 
     let mut plaintexts = Vec::new();
-    let mut fallback = Vec::new();
-    for (i, verdict) in batch.iter().enumerate() {
+    for ((nonce, data), verdict) in encrypted.iter().zip(batch.iter()) {
         match verdict {
             Ok(plain) => plaintexts.push(plain.to_vec()),
             Err(_) => {
-                // Not this link's handle — retry in scalar handle order so
-                // interleaved foreign frames decrypt exactly as the
-                // reference would (zero-alloc once `fallback` has warmed).
-                let (nonce, data) = &encrypted[i];
-                for aad in &handle_aads {
-                    if ccm.open_into(nonce, aad, data, &mut fallback).is_ok() {
-                        plaintexts.push(fallback.clone());
-                        break;
-                    }
+                if open_any(nonce, data, &mut scratch).is_some() {
+                    plaintexts.push(scratch.clone());
                 }
             }
         }
     }
     plaintexts
-}
-
-/// Bulk confirmation of candidate link keys against a capture — the
-/// eavesdrop analogue of the PIN cracker's `check_batch`. Each candidate
-/// key is replayed through the full session-key schedule
-/// ([`session_key`]), then [`ccm::KEY_LANES`] derived CCM contexts verify
-/// the probe frame in lockstep via [`ccm::open_check_keys`].
-///
-/// The probe is the first encrypted ACL frame of the capture: one
-/// authenticated tag under any handle pins the link key (the tag is an
-/// 8-byte MAC, so a false positive needs a ~2⁻⁶⁴ forgery — and
-/// [`KeyConfirm::confirm`] re-checks hits with the scalar engine anyway,
-/// like the PIN cracker re-confirms batch hits).
-pub struct KeyConfirm {
-    au_rand: [u8; 16],
-    verifier: BdAddr,
-    prover: BdAddr,
-    probe_nonce: [u8; ccm::NONCE_LEN],
-    probe: Vec<u8>,
-    scratch: Vec<u8>,
-}
-
-impl KeyConfirm {
-    /// Builds a confirmer from a capture, or `None` when the capture has
-    /// no sniffed challenge or no encrypted frame to probe against.
-    pub fn new(frames: &[SniffedFrame], verifier: BdAddr, prover: BdAddr) -> Option<Self> {
-        let au_rand = find_au_rand(frames)?;
-        let (probe_nonce, probe) = frames.iter().find_map(|f| match f {
-            SniffedFrame::Acl {
-                data,
-                encrypted: true,
-                packet_counter,
-                ..
-            } => Some((ccm::acl_nonce(*packet_counter, verifier), data.to_vec())),
-            _ => None,
-        })?;
-        Some(KeyConfirm {
-            au_rand,
-            verifier,
-            prover,
-            probe_nonce,
-            probe,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Tests up to [`ccm::KEY_LANES`] candidates in lockstep against the
-    /// probe frame. Bit `i` of the result is set when `candidates[i]`'s
-    /// derived session key authenticates the probe under some handle.
-    ///
-    /// # Panics
-    ///
-    /// When `candidates` is empty or longer than [`ccm::KEY_LANES`].
-    pub fn check_batch(&mut self, candidates: &[LinkKey]) -> u16 {
-        let _prof = prof::scope("eavesdrop.key_confirm");
-        assert!(
-            !candidates.is_empty() && candidates.len() <= KEY_LANES,
-            "check_batch takes 1..={KEY_LANES} candidates, got {}",
-            candidates.len()
-        );
-        let ccms: Vec<Ccm> = candidates
-            .iter()
-            .map(|k| Ccm::new(&session_key(k, &self.au_rand, self.verifier, self.prover)))
-            .collect();
-        // Short batches replicate the last candidate into the padding
-        // lanes; the final mask strips the duplicates.
-        let refs: [&Ccm; KEY_LANES] = core::array::from_fn(|i| &ccms[i.min(ccms.len() - 1)]);
-        let mut mask = 0u16;
-        for handle in 1..=HANDLE_SPACE {
-            mask |= u16::from(ccm::open_check_keys(
-                refs,
-                &self.probe_nonce,
-                &handle.to_le_bytes(),
-                &self.probe,
-                &mut self.scratch,
-            ));
-        }
-        mask & ((1u16 << candidates.len()) - 1)
-    }
-
-    /// Sweeps an arbitrary candidate list through [`Self::check_batch`] in
-    /// [`ccm::KEY_LANES`]-wide chunks and returns the first candidate the
-    /// scalar engine re-confirms, in list order.
-    pub fn confirm(&mut self, candidates: &[LinkKey]) -> Option<LinkKey> {
-        for chunk in candidates.chunks(KEY_LANES) {
-            let mut mask = self.check_batch(chunk);
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if self.confirm_scalar(&chunk[i]) {
-                    return Some(chunk[i]);
-                }
-            }
-        }
-        None
-    }
-
-    fn confirm_scalar(&self, candidate: &LinkKey) -> bool {
-        let ccm = Ccm::new(&session_key(
-            candidate,
-            &self.au_rand,
-            self.verifier,
-            self.prover,
-        ));
-        (1..=HANDLE_SPACE).any(|h| {
-            ccm.verify(&self.probe_nonce, &h.to_le_bytes(), &self.probe)
-                .is_ok()
-        })
-    }
 }
 
 /// Outcome of an eavesdropping run.
@@ -437,13 +275,34 @@ impl EavesdropReport {
     }
 }
 
-/// A convenience holder so `DeviceId` stays used even if scenarios evolve.
-#[doc(hidden)]
-pub type _DeviceIdAlias = DeviceId;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar reference engine: every frame, every handle attempt, one
+    /// AES block at a time. [`decrypt_capture`] must return exactly its
+    /// plaintexts, in the same order.
+    fn decrypt_capture_scalar(
+        frames: &[SniffedFrame],
+        stolen_key: LinkKey,
+        verifier: BdAddr,
+        prover: BdAddr,
+    ) -> Vec<Vec<u8>> {
+        let Some(au_rand) = find_au_rand(frames) else {
+            return Vec::new();
+        };
+        let ccm = Ccm::new(&session_key(&stolen_key, &au_rand, verifier, prover));
+        let mut plaintexts = Vec::new();
+        for (nonce, data) in encrypted_acl_frames(frames, verifier) {
+            for handle in 1..=HANDLE_SPACE {
+                if let Ok(plain) = ccm.open(&nonce, &handle.to_le_bytes(), data) {
+                    plaintexts.push(plain);
+                    break;
+                }
+            }
+        }
+        plaintexts
+    }
 
     #[test]
     fn encrypted_capture_hides_secrets_without_the_key() {
@@ -498,15 +357,14 @@ mod tests {
             plaintexts.is_empty(),
             "CCM tags must reject a wrong key: {plaintexts:?}"
         );
-        let batched = decrypt_capture_batched(&frames, wrong, c_addr, m_addr);
+        let scalar = decrypt_capture_scalar(&frames, wrong, c_addr, m_addr);
         assert!(
-            batched.is_empty(),
-            "batched path must reject too: {batched:?}"
+            scalar.is_empty(),
+            "the scalar reference must reject too: {scalar:?}"
         );
     }
 
-    /// A capture plus the extracted key and the link's addresses — the
-    /// shared fixture for the batched-engine tests.
+    /// A capture plus the extracted key and the link's addresses.
     fn capture(seed: u64) -> (Vec<SniffedFrame>, LinkKey, BdAddr, BdAddr) {
         let scenario = EavesdropScenario::new(seed);
         let m_addr: BdAddr = addrs::M.parse().expect("valid address");
@@ -534,54 +392,62 @@ mod tests {
     }
 
     #[test]
-    fn batched_decrypt_matches_scalar_reference() {
+    fn decrypt_matches_scalar_reference() {
         let (frames, key, c_addr, m_addr) = capture(54);
-        let scalar = decrypt_capture(&frames, key, c_addr, m_addr);
-        let batched = decrypt_capture_batched(&frames, key, c_addr, m_addr);
+        let scalar = decrypt_capture_scalar(&frames, key, c_addr, m_addr);
+        let engine = decrypt_capture(&frames, key, c_addr, m_addr);
         assert!(!scalar.is_empty(), "fixture must decrypt something");
-        assert_eq!(scalar, batched, "batched engine must be byte-identical");
+        assert_eq!(scalar, engine, "the engine must be byte-identical");
     }
 
-    /// Deterministic decoy keys that share no bytes with a real extraction.
-    fn decoys(n: usize) -> Vec<LinkKey> {
-        (0..n)
-            .map(|i| {
-                let mut bytes = [0u8; 16];
-                for (j, b) in bytes.iter_mut().enumerate() {
-                    *b = (i as u8)
-                        .wrapping_mul(37)
-                        .wrapping_add(j as u8)
-                        .wrapping_add(1);
-                }
-                LinkKey::new(bytes)
-            })
-            .collect()
-    }
-
+    /// A capture shaped like the `eavesdrop --frames` sweep, but with two
+    /// links: ACL frames sealed under handles 1 and 3, interleaved, behind
+    /// a first frame whose tag has one bit flipped. The handle probe must
+    /// skip the bad frame, and every frame of the other handle must go
+    /// through the per-frame fallback in the reference's order.
     #[test]
-    fn key_confirm_finds_planted_key_among_decoys() {
-        let (frames, key, c_addr, m_addr) = capture(55);
-        let mut confirm = KeyConfirm::new(&frames, c_addr, m_addr).expect("probe frame exists");
-
-        // The real key lands mid-chunk among decoys spanning several
-        // KEY_LANES-wide batches.
-        let mut candidates = decoys(2 * KEY_LANES + 3);
-        candidates.insert(KEY_LANES + 2, key);
-        assert_eq!(confirm.confirm(&candidates), Some(key));
-
-        // check_batch flags exactly the planted lane.
-        let mut chunk = decoys(KEY_LANES);
-        chunk[3] = key;
-        assert_eq!(confirm.check_batch(&chunk), 1 << 3);
-        // Ragged batch: lone candidate, hit and miss.
-        assert_eq!(confirm.check_batch(&[key]), 1);
-        assert_eq!(confirm.check_batch(&chunk[..2]), 0);
-    }
-
-    #[test]
-    fn key_confirm_rejects_all_decoys() {
-        let (frames, _key, c_addr, m_addr) = capture(56);
-        let mut confirm = KeyConfirm::new(&frames, c_addr, m_addr).expect("probe frame exists");
-        assert_eq!(confirm.confirm(&decoys(3 * KEY_LANES - 1)), None);
+    fn foreign_handle_frames_decrypt_as_the_reference_does() {
+        let c_addr: BdAddr = addrs::C.parse().expect("valid address");
+        let m_addr: BdAddr = addrs::M.parse().expect("valid address");
+        let key: LinkKey = "c4f16e949f04ee9c0fd6b1023389c324".parse().expect("valid");
+        let au_rand = [0x5Au8; 16];
+        let session = Ccm::new(&session_key(&key, &au_rand, c_addr, m_addr));
+        let mut frames = vec![SniffedFrame::Lmp {
+            time: blap_types::Instant::EPOCH,
+            from: c_addr,
+            to: m_addr,
+            name: "LMP_au_rand",
+            au_rand: Some(au_rand),
+        }];
+        let count = 2 * ccm::FRAME_LANES as u64 + 3;
+        for i in 0..count {
+            let handle: u16 = if i % 2 == 1 { 1 } else { 3 };
+            let payload: Vec<u8> = (0..20 + (i as usize * 7) % 41)
+                .map(|b| (b as u8).wrapping_mul(31) ^ i as u8)
+                .collect();
+            let nonce = ccm::acl_nonce(i, c_addr);
+            let mut data = session
+                .seal(&nonce, &handle.to_le_bytes(), &payload)
+                .expect("frame fits CCM length field");
+            if i == 0 {
+                *data.last_mut().expect("tag present") ^= 0x01;
+            }
+            frames.push(SniffedFrame::Acl {
+                time: blap_types::Instant::from_micros(1 + i),
+                from: c_addr,
+                to: m_addr,
+                data: data.into(),
+                encrypted: true,
+                packet_counter: i,
+            });
+        }
+        let reference = decrypt_capture_scalar(&frames, key, c_addr, m_addr);
+        assert_eq!(
+            reference.len() as u64,
+            count - 1,
+            "every frame but the tampered one decrypts"
+        );
+        let engine = decrypt_capture(&frames, key, c_addr, m_addr);
+        assert_eq!(engine, reference, "same plaintexts in the same order");
     }
 }

@@ -190,7 +190,7 @@ const PIN_CHUNK: u64 = 512;
 
 /// The longest PIN the E22 algorithm admits: the spec caps PINs at 16
 /// bytes, so a numeric search space never has more than 16 digit
-/// positions. Also the overflow bound for [`pin_space_size`] arithmetic —
+/// positions. Also the overflow bound for `pin_space_size` arithmetic —
 /// `10 + 100 + … + 10^16` fits a `u64`, `10^20` does not.
 pub const MAX_PIN_DIGITS: u32 = 16;
 

@@ -15,7 +15,7 @@
 //! keeps, and `FrameReader::next_frame` reuses one payload buffer, so a
 //! frame costs only its own strings.
 
-use blap::eavesdrop::{decrypt_capture_batched, KeyConfirm};
+use blap::eavesdrop::decrypt_capture;
 use blap::legacy_pin::{crack_numeric_pin_with, LegacyPairingCapture};
 use blap::runner::Jobs;
 use blap::{addrs, extract};
@@ -107,17 +107,17 @@ fn eavesdrop_capture() -> (Vec<SniffedFrame>, LinkKey, BdAddr, BdAddr) {
 fn batched_decrypt_allocates_per_plaintext_not_per_attempt() {
     let _serial = serial();
     let (frames, key, c_addr, m_addr) = eavesdrop_capture();
-    let plain = decrypt_capture_batched(&frames, key, c_addr, m_addr);
+    let plain = decrypt_capture(&frames, key, c_addr, m_addr);
     assert!(!plain.is_empty(), "fixture must decrypt something");
     let count = allocations_during(|| {
-        let out = decrypt_capture_batched(&frames, key, c_addr, m_addr);
+        let out = decrypt_capture(&frames, key, c_addr, m_addr);
         assert_eq!(out.len(), plain.len());
         std::hint::black_box(out);
     });
     // Budget: the returned plaintext `Vec`s (inherent to the signature)
-    // plus the frame-view collects, the `OpenBatch` arena, and the CCM
-    // context — never the scalar engine's fresh `Vec` per frame × handle
-    // attempt.
+    // plus the frame-view collects, the `OpenBatch` arena, the handle
+    // probe's scratch buffer and the CCM context — never a fresh `Vec` per
+    // frame × handle attempt.
     let budget = plain.len() + 16;
     assert!(
         count <= budget,
@@ -125,32 +125,6 @@ fn batched_decrypt_allocates_per_plaintext_not_per_attempt() {
          {count} allocations (budget {budget}) — is a per-frame or \
          per-handle buffer back?",
         plain.len()
-    );
-}
-
-#[test]
-fn key_confirm_batch_reuses_scratch_across_calls() {
-    let _serial = serial();
-    let (frames, key, c_addr, m_addr) = eavesdrop_capture();
-    let mut confirm = KeyConfirm::new(&frames, c_addr, m_addr).expect("probe frame exists");
-    let candidates = [key; 2];
-    assert_eq!(confirm.check_batch(&candidates), 0b11);
-    let count = allocations_during(|| {
-        for _ in 0..10 {
-            std::hint::black_box(confirm.check_batch(&candidates));
-        }
-    });
-    // Each call re-derives the candidates' session keys (the `ssp`
-    // functions build small message buffers) and collects the CCM
-    // contexts — O(candidates) per call. The trial-decrypt scratch must
-    // be reused: at 8 handle probes per call, per-probe regrowth would
-    // add 80 allocations to this window.
-    let budget = 10 * (2 + 4 * candidates.len());
-    assert!(
-        count <= budget,
-        "check_batch must allocate O(candidates) per call, got {count} \
-         (budget {budget}) — is the trial-decrypt scratch regrown per \
-         handle probe?"
     );
 }
 

@@ -5,12 +5,11 @@
 //! computed (GF(2⁸) inversion plus the affine map) rather than pasted, and
 //! the implementation is pinned by the FIPS 197 Appendix C vector.
 //!
-//! The round path is table-driven. Encryption uses the classic 32-bit
-//! T-tables — SubBytes, ShiftRows and MixColumns fused into four word
-//! lookups per column — built once from the same bit-serial [`gf_mul`] the
-//! tables are verified against. Decryption (unused by CCM, which only ever
-//! encrypts blocks) keeps the per-byte inverse layers with precomputed
-//! ×9/×11/×13/×14 multiples.
+//! The round path is table-driven: the classic 32-bit T-tables —
+//! SubBytes, ShiftRows and MixColumns fused into four word lookups per
+//! column — built once from the same bit-serial GF(2⁸) multiply the tables
+//! are verified against. Only encryption is implemented: CCM runs the
+//! block cipher forward in both directions.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -49,12 +48,11 @@ fn gf_inv(a: u8) -> u8 {
     result
 }
 
-/// Precomputed cipher tables: the S-boxes, the four 32-bit encryption
-/// T-tables (SubBytes, ShiftRows and MixColumns fused into one lookup per
-/// state byte), and the GF(2⁸) constant multiples the matrices use.
+/// Precomputed cipher tables: the S-box, the four 32-bit T-tables
+/// (SubBytes, ShiftRows and MixColumns fused into one lookup per state
+/// byte), and the GF(2⁸) constant multiples MixColumns uses.
 struct AesTables {
     sbox: [u8; 256],
-    inv_sbox: [u8; 256],
     /// `t0[x]` is the MixColumns column `(2, 1, 1, 3) · sbox[x]` packed as
     /// a little-endian word (byte 0 = row 0); `t1`–`t3` are its rotations
     /// `(3, 2, 1, 1)`, `(1, 3, 2, 1)`, `(1, 1, 3, 2)` for rows 1–3 of the
@@ -65,10 +63,6 @@ struct AesTables {
     t3: [u32; 256],
     mul2: [u8; 256],
     mul3: [u8; 256],
-    mul9: [u8; 256],
-    mul11: [u8; 256],
-    mul13: [u8; 256],
-    mul14: [u8; 256],
 }
 
 fn tables() -> &'static AesTables {
@@ -77,17 +71,12 @@ fn tables() -> &'static AesTables {
     TABLES.get_or_init(|| {
         let mut t = Box::new(AesTables {
             sbox: [0; 256],
-            inv_sbox: [0; 256],
             t0: [0; 256],
             t1: [0; 256],
             t2: [0; 256],
             t3: [0; 256],
             mul2: [0; 256],
             mul3: [0; 256],
-            mul9: [0; 256],
-            mul11: [0; 256],
-            mul13: [0; 256],
-            mul14: [0; 256],
         });
         #[allow(clippy::needless_range_loop)]
         for x in 0..256usize {
@@ -103,13 +92,8 @@ fn tables() -> &'static AesTables {
             t.sbox[x] = s;
             t.mul2[x] = gf_mul(x as u8, 2);
             t.mul3[x] = gf_mul(x as u8, 3);
-            t.mul9[x] = gf_mul(x as u8, 9);
-            t.mul11[x] = gf_mul(x as u8, 11);
-            t.mul13[x] = gf_mul(x as u8, 13);
-            t.mul14[x] = gf_mul(x as u8, 14);
         }
         for x in 0..256usize {
-            t.inv_sbox[t.sbox[x] as usize] = x as u8;
             let s = t.sbox[x];
             let (s2, s3) = (t.mul2[s as usize], t.mul3[s as usize]);
             t.t0[x] = u32::from_le_bytes([s2, s, s, s3]);
@@ -212,10 +196,9 @@ impl Aes128 {
     /// Measured on the committed-baseline host the raw kernel plateaus at
     /// `N = 8` ([`PARALLEL_BLOCKS`], ~38 ns/block vs ~54 scalar) — the
     /// interleave is µop-throughput-bound, not load-bound, so widths 2–16
-    /// sit within noise of each other (DESIGN §6 has the sweep). CCM's
-    /// batched paths are the intended caller: CTR keystream blocks are
-    /// independent within a frame and CBC-MAC chains are independent
-    /// across frames.
+    /// sit within noise of each other (DESIGN §6 has the sweep). The
+    /// caller is [`crate::ccm::Ccm::open_many_into`], whose CTR blocks and
+    /// CBC-MAC chains are independent across frames.
     pub fn encrypt_blocks<const N: usize>(&self, blocks: &[[u8; 16]; N]) -> [[u8; 16]; N] {
         let t = tables();
         let rk0 = round_key_words(&self.round_keys[0]);
@@ -265,80 +248,13 @@ impl Aes128 {
         }
         out
     }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let t = tables();
-        let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[10]);
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state, &t.inv_sbox);
-        for round in (1..10).rev() {
-            add_round_key(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state, t);
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state, &t.inv_sbox);
-        }
-        add_round_key(&mut state, &self.round_keys[0]);
-        state
-    }
 }
 
-/// Interleave width the batched callers default to. The raw kernel's
+/// Interleave width the batched CCM open runs at. The raw kernel's
 /// per-block cost is flat from N = 2 up (µop-throughput-bound; see DESIGN
 /// §6 *Batched kernels* for the sweep), so the width is chosen to divide
-/// CCM batches evenly and to double as the multi-key lane count.
+/// CCM batches evenly.
 pub const PARALLEL_BLOCKS: usize = 8;
-
-/// Encrypts `N` blocks under `N` *different* expanded keys, rounds
-/// interleaved exactly like [`Aes128::encrypt_blocks`] — the multi-key
-/// axis the bulk key-confirmation path batches over (one candidate session
-/// key per slot, same probe frame). Each slot's round key comes from its
-/// own schedule; everything else is the single-key kernel.
-pub fn encrypt_blocks_multikey<const N: usize>(
-    keys: [&Aes128; N],
-    blocks: &[[u8; 16]; N],
-) -> [[u8; 16]; N] {
-    let t = tables();
-    let mut state = [[0u32; 4]; N];
-    for b in 0..N {
-        let rk0 = round_key_words(&keys[b].round_keys[0]);
-        for c in 0..4 {
-            state[b][c] = u32::from_le_bytes([
-                blocks[b][4 * c],
-                blocks[b][4 * c + 1],
-                blocks[b][4 * c + 2],
-                blocks[b][4 * c + 3],
-            ]) ^ rk0[c];
-        }
-    }
-    for round in 1..10 {
-        for b in 0..N {
-            let rk = round_key_words(&keys[b].round_keys[round]);
-            let s = state[b];
-            let mut n = [0u32; 4];
-            for c in 0..4 {
-                n[c] = t.t0[(s[c] & 0xff) as usize]
-                    ^ t.t1[((s[(c + 1) % 4] >> 8) & 0xff) as usize]
-                    ^ t.t2[((s[(c + 2) % 4] >> 16) & 0xff) as usize]
-                    ^ t.t3[(s[(c + 3) % 4] >> 24) as usize]
-                    ^ rk[c];
-            }
-            state[b] = n;
-        }
-    }
-    let mut out = [[0u8; 16]; N];
-    for b in 0..N {
-        let rk = &keys[b].round_keys[10];
-        for c in 0..4 {
-            for r in 0..4 {
-                out[b][4 * c + r] =
-                    t.sbox[((state[b][(c + r) % 4] >> (8 * r)) & 0xff) as usize] ^ rk[4 * c + r];
-            }
-        }
-    }
-    out
-}
 
 // State layout: state[4*c + r] is row r, column c (column-major, matching
 // the FIPS byte order of the input block).
@@ -353,36 +269,6 @@ fn round_key_words(rk: &[u8; 16]) -> [u32; 4] {
 fn add_round_key(state: &mut [u8; 16], key: &[u8; 16]) {
     for i in 0..16 {
         state[i] ^= key[i];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16], inv_sbox: &[u8; 256]) {
-    for byte in state.iter_mut() {
-        *byte = inv_sbox[*byte as usize];
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let copy = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = copy[4 * c + r];
-        }
-    }
-}
-
-fn inv_mix_columns(state: &mut [u8; 16], t: &AesTables) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c] as usize,
-            state[4 * c + 1] as usize,
-            state[4 * c + 2] as usize,
-            state[4 * c + 3] as usize,
-        ];
-        state[4 * c] = t.mul14[col[0]] ^ t.mul11[col[1]] ^ t.mul13[col[2]] ^ t.mul9[col[3]];
-        state[4 * c + 1] = t.mul9[col[0]] ^ t.mul14[col[1]] ^ t.mul11[col[2]] ^ t.mul13[col[3]];
-        state[4 * c + 2] = t.mul13[col[0]] ^ t.mul9[col[1]] ^ t.mul14[col[2]] ^ t.mul11[col[3]];
-        state[4 * c + 3] = t.mul11[col[0]] ^ t.mul13[col[1]] ^ t.mul9[col[2]] ^ t.mul14[col[3]];
     }
 }
 
@@ -402,8 +288,11 @@ mod tests {
         assert_eq!(t.sbox[0x01], 0x7c);
         assert_eq!(t.sbox[0x53], 0xed);
         assert_eq!(t.sbox[0xff], 0x16);
-        for x in 0..256 {
-            assert_eq!(t.inv_sbox[t.sbox[x] as usize] as usize, x);
+        // A bijection: every byte value appears exactly once.
+        let mut seen = [false; 256];
+        for &s in &t.sbox {
+            assert!(!seen[s as usize], "{s:#x} appears twice");
+            seen[s as usize] = true;
         }
     }
 
@@ -411,14 +300,7 @@ mod tests {
     fn mul_tables_match_bit_serial_gf_mul() {
         let t = tables();
         for x in 0..256usize {
-            for (table, k) in [
-                (&t.mul2, 2),
-                (&t.mul3, 3),
-                (&t.mul9, 9),
-                (&t.mul11, 11),
-                (&t.mul13, 13),
-                (&t.mul14, 14),
-            ] {
+            for (table, k) in [(&t.mul2, 2), (&t.mul3, 3)] {
                 assert_eq!(table[x], gf_mul(x as u8, k), "x={x:#x} k={k}");
             }
         }
@@ -478,7 +360,6 @@ mod tests {
         let aes = Aes128::new(&key);
         let ciphertext = aes.encrypt_block(&plaintext);
         assert_eq!(hex(&ciphertext), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        assert_eq!(aes.decrypt_block(&ciphertext), plaintext);
     }
 
     #[test]
@@ -490,16 +371,6 @@ mod tests {
             assert_eq!(gf_mul(a, gf_inv(a)), 1, "inverse failed for {a:#x}");
         }
         assert_eq!(gf_inv(0), 0);
-    }
-
-    #[test]
-    fn round_trip_random_blocks() {
-        let aes = Aes128::new(&[0xA5; 16]);
-        for i in 0..32u8 {
-            let block: [u8; 16] =
-                core::array::from_fn(|j| i.wrapping_mul(17).wrapping_add(j as u8));
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-        }
     }
 
     #[test]
@@ -524,18 +395,6 @@ mod tests {
         check::<2>(&aes);
         check::<PARALLEL_BLOCKS>(&aes);
         check::<8>(&aes);
-    }
-
-    #[test]
-    fn multikey_blocks_match_per_key_scalar_path() {
-        let keys: [Aes128; 4] = core::array::from_fn(|k| Aes128::new(&[k as u8 * 55 + 3; 16]));
-        let blocks: [[u8; 16]; 4] =
-            core::array::from_fn(|b| core::array::from_fn(|i| (b * 47 + i * 11) as u8));
-        let refs: [&Aes128; 4] = core::array::from_fn(|k| &keys[k]);
-        let batched = encrypt_blocks_multikey(refs, &blocks);
-        for b in 0..4 {
-            assert_eq!(batched[b], keys[b].encrypt_block(&blocks[b]), "slot {b}");
-        }
     }
 
     #[test]

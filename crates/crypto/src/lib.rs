@@ -18,10 +18,9 @@
 //! * [`batch`] — byte-sliced SWAR batch kernels running the SAFER+
 //!   pipeline for eight candidate keys at once (the PIN-cracking hot path),
 //! * [`aes`] + [`ccm`] — AES-128 (T-table, with an interleaved
-//!   multi-block kernel) and AES-CCM link encryption, including batched
-//!   `open_many`/`seal_many` over frame slices and a multi-key
-//!   `open_check_keys` lane for bulk link-key confirmation (the
-//!   eavesdrop hot path).
+//!   multi-block kernel) and AES-CCM link encryption: one single-frame
+//!   seal/open path, and a batched open over frame slices (the eavesdrop
+//!   decrypt path).
 //!
 //! # Example: derive the same link key on both sides
 //!

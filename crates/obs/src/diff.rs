@@ -64,7 +64,7 @@ impl DiffReport {
 
 /// Incremental trace comparison: feed paired lines as they stream off
 /// two readers, then [`TraceDiff::finish`]. Memory is bounded — the
-/// report holds at most [`MAX_FINDINGS`] findings regardless of artifact
+/// report holds at most `MAX_FINDINGS` findings regardless of artifact
 /// length, and no line is retained after its `push_pair` call — which is
 /// what lets `blap-trace diff` walk two campaign-scale artifacts without
 /// materializing either. A line `blap-trace check` refuses is refused

@@ -32,7 +32,7 @@
 //! flamegraph line like `trial;lmp_auth;crypto.e1` reads in the same
 //! vocabulary as the virtual-time analyzer.
 //!
-//! With the `prof-alloc` feature, [`CountingAlloc`] additionally
+//! With the `prof-alloc` feature, `CountingAlloc` additionally
 //! attributes heap allocation counts and bytes to the innermost open
 //! scope (and keeps exact process-wide totals), replacing the ad-hoc
 //! counting allocators the regression tests used to carry.

@@ -571,14 +571,14 @@ mod ccm_batch {
         }
 
         #[test]
-        fn open_into_matches_open(key in any::<[u8; 16]>(), frames in frames_strategy()) {
+        fn open_into_round_trips_through_one_buffer(key in any::<[u8; 16]>(),
+                                                    frames in frames_strategy()) {
             let ccm = Ccm::new(&key);
             let mut opened = Vec::new();
             for (i, (payload, aad, nonce)) in frames.iter().enumerate() {
                 let sealed = ccm.seal(nonce, aad, payload).unwrap();
                 ccm.open_into(nonce, aad, &sealed, &mut opened).unwrap();
-                prop_assert_eq!(&opened, payload, "open_into lane {}", i);
-                prop_assert_eq!(ccm.open(nonce, aad, &sealed).unwrap(), opened, "open lane {}", i);
+                prop_assert_eq!(&opened, payload, "lane {}", i);
             }
         }
     }

@@ -2,8 +2,9 @@
 //! covering the kernels the perf work targets — HCI encode/decode, the
 //! AES-CCM link cipher (single-frame and the batched `open_many_into`),
 //! the eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
-//! loop, the P-256 field multiply, key generation and ECDH (the Stage-1
-//! exchange behind every simulated pairing), the trace read path
+//! loop, the P-256 field multiply and inversion, key generation, the
+//! registered DHKey and the windowed-NAF ECDH (the Stage-1 exchange behind
+//! every simulated pairing), the trace read path
 //! (`StreamAnalyzer::push_line` per line, and `FrameReader::next_frame`
 //! and `Frame::render_jsonl` per frame, over the Table II trace fixture),
 //! and the disabled-telemetry hook (pinning the zero-cost-when-off
@@ -36,7 +37,7 @@ use blap::runner::Jobs;
 use blap::{addrs, extract};
 use blap_crypto::bigint::U256;
 use blap_crypto::ccm::{OpenBatch, SealedFrame};
-use blap_crypto::p256::{FieldElement, KeyPair};
+use blap_crypto::p256::{DhMemo, FieldElement, KeyPair};
 use blap_crypto::{aes::Aes128, ccm, e1};
 use blap_hci::{Command, Event, HciPacket};
 use blap_obs::json::{self, Layout};
@@ -225,9 +226,12 @@ fn main() {
         black_box(e1::e1(black_box(&e1_key), &e1_rand, e1_addr));
     });
 
-    // P-256: two key generations plus one ECDH per simulated pairing (the
-    // second end takes its DHKey from the world's memo), most of a
-    // campaign trial's time, and the field multiply underneath both.
+    // P-256: a simulated pairing runs three fixed-base multiplications,
+    // two key generations and one DHKey against the peer's registered key
+    // (`(a·b mod n)·G`); the second end takes that DHKey from the world's
+    // memo. `p256_ecdh` is the windowed-NAF path a key the world did not
+    // draw still takes. Underneath them: the field multiply, and the
+    // inversion each multiplication ends with.
     let fe_a = FieldElement::from_u256(U256::from_hex(
         "deadbeefcafebabe0123456789abcdef0fedcba9876543211122334455667788",
     ));
@@ -237,13 +241,23 @@ fn main() {
     let p256_fe_mul = ns_per_op(200_000, || {
         black_box(black_box(fe_a).mul(black_box(&fe_b)));
     });
+    let p256_fe_inv = ns_per_op(20_000, || {
+        black_box(black_box(fe_a).inv());
+    });
     let p256_keygen = ns_per_op(200, || {
         black_box(KeyPair::from_rng_bytes(black_box([0x42; 32])).expect("nonzero secret"));
     });
     let local = KeyPair::from_rng_bytes([0x42; 32]).expect("nonzero secret");
-    let remote = KeyPair::from_rng_bytes([0x17; 32])
-        .expect("nonzero secret")
-        .public();
+    let remote_pair = KeyPair::from_rng_bytes([0x17; 32]).expect("nonzero secret");
+    let remote = remote_pair.public();
+    let p256_dh_registered = ns_per_op(200, || {
+        let mut memo = DhMemo::new();
+        memo.register(black_box(&remote_pair));
+        black_box(
+            memo.diffie_hellman(&local, black_box(&remote))
+                .expect("valid public key"),
+        );
+    });
     let p256_ecdh = ns_per_op(100, || {
         black_box(
             local
@@ -381,7 +395,9 @@ fn main() {
         ("legacy_e1", legacy_e1),
         ("pincrack_candidate", pincrack_candidate),
         ("p256_fe_mul", p256_fe_mul),
+        ("p256_fe_inv", p256_fe_inv),
         ("p256_keygen", p256_keygen),
+        ("p256_dh_registered", p256_dh_registered),
         ("p256_ecdh", p256_ecdh),
         ("trace_push_line", trace_push_line),
         ("frame_next_frame", frame_next_frame),

@@ -403,6 +403,13 @@ pub fn compare(
                 floor,
             });
         }
+        if let Some(Value::Object(fresh_members)) = fresh_section {
+            for (metric, _) in fresh_members {
+                if !base_members.iter().any(|(name, _)| name == metric) {
+                    notes.push(format!("{section}.{metric}: not in baseline, ungated"));
+                }
+            }
+        }
     }
 
     let breached = deltas.iter().any(MetricDelta::breached);

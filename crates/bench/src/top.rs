@@ -9,8 +9,14 @@
 use std::fmt::Write as _;
 use std::io;
 
+use blap_obs::binfmt::MAX_EVENT_BYTES;
 use blap_obs::json::{DecodeError, Fault};
 use blap_obs::telemetry::{self, TelemetrySnapshot};
+
+/// Bytes a poll reads from the sidecar per step. With the line cap, this
+/// bounds what a poll holds: at most [`MAX_EVENT_BYTES`] of an unfinished
+/// line plus one chunk, however large the file.
+const CHUNK: usize = 64 * 1024;
 
 /// The one reader of a telemetry JSONL sidecar, live or after the fact.
 ///
@@ -18,11 +24,15 @@ use blap_obs::telemetry::{self, TelemetrySnapshot};
 /// final line — the writer mid-append, or the last line a killed campaign
 /// got out — stays in the carry until its newline arrives, or until
 /// [`TailReader::finish`] decides it at end of file. A complete line that
-/// fails to parse is corruption, not write-in-progress: a hard error.
+/// fails to parse is corruption, not write-in-progress: a hard error. So
+/// is a line, terminated or not, longer than [`MAX_EVENT_BYTES`], the cap
+/// trace lines already use.
 #[derive(Debug, Default)]
 pub struct TailReader {
     offset: u64,
     carry: Vec<u8>,
+    /// How much of `carry` holds no newline: where the next scan resumes.
+    scanned: usize,
     /// Complete lines consumed, for error messages.
     lines: u64,
 }
@@ -34,30 +44,52 @@ impl TailReader {
     }
 
     /// Reads any newly completed snapshots since the last poll (possibly
-    /// none). A shrunken file resets the follower to the new beginning
-    /// (the sidecar was truncated and restarted). A corrupt line is an
+    /// none), one chunk at a time. A shrunken file resets the follower to
+    /// the new beginning (the sidecar was truncated and restarted). A
+    /// corrupt line, or one over the cap, is an
     /// [`io::ErrorKind::InvalidData`] error carrying its [`DecodeError`].
     pub fn poll(&mut self, path: &str) -> io::Result<Vec<TelemetrySnapshot>> {
         use std::io::{Read, Seek, SeekFrom};
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+        let too_long = |line_no: u64| {
+            invalid(
+                DecodeError::new("", Fault::TooLong(MAX_EVENT_BYTES))
+                    .within(&format!("line {line_no}")),
+            )
+        };
         let mut file = std::fs::File::open(path)?;
         if file.metadata()?.len() < self.offset {
             *self = TailReader::new();
         }
         file.seek(SeekFrom::Start(self.offset))?;
-        self.offset += file.read_to_end(&mut self.carry)? as u64;
         let mut out = Vec::new();
-        let mut start = 0;
-        while let Some(len) = self.carry[start..].iter().position(|&b| b == b'\n') {
-            let line = &self.carry[start..start + len];
-            start += len + 1;
-            self.lines += 1;
-            if !line.is_empty() {
-                let snapshot = parse(line, self.lines);
-                out.push(snapshot.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?);
+        loop {
+            let read = (&mut file)
+                .take(CHUNK as u64)
+                .read_to_end(&mut self.carry)?;
+            if read == 0 {
+                return Ok(out);
+            }
+            self.offset += read as u64;
+            let mut start = 0;
+            while let Some(len) = self.carry[self.scanned..].iter().position(|&b| b == b'\n') {
+                let line = &self.carry[start..self.scanned + len];
+                self.scanned += len + 1;
+                start = self.scanned;
+                self.lines += 1;
+                if line.len() > MAX_EVENT_BYTES {
+                    return Err(too_long(self.lines));
+                }
+                if !line.is_empty() {
+                    out.push(parse(line, self.lines).map_err(invalid)?);
+                }
+            }
+            self.carry.drain(..start);
+            self.scanned = self.carry.len();
+            if self.carry.len() > MAX_EVENT_BYTES {
+                return Err(too_long(self.lines + 1));
             }
         }
-        self.carry.drain(..start);
-        Ok(out)
     }
 
     /// Ends the read at end of file: what is left in the carry is one
@@ -272,6 +304,31 @@ mod tests {
         assert_eq!(got[0].seq, 1);
         assert_eq!(got[0].trials, 20);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tail_reader_caps_a_line_at_the_event_limit() {
+        // Over the cap, unterminated (a writer gone wrong, or not a
+        // sidecar) or terminated: a typed error once the cap plus one
+        // chunk is held, not the whole line in memory.
+        let unterminated = vec![b'x'; 2 << 20];
+        let mut terminated = vec![b'x'; MAX_EVENT_BYTES + 1];
+        terminated.push(b'\n');
+        for (name, bytes) in [("unterminated", unterminated), ("terminated", terminated)] {
+            let path = temp_path(&format!("long_{name}.jsonl"));
+            std::fs::write(&path, bytes).expect("write");
+            let mut reader = TailReader::new();
+            let err = reader.poll(&path).expect_err(name);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            let decode = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<DecodeError>())
+                .expect("typed error");
+            assert_eq!(decode.fault, Fault::TooLong(MAX_EVENT_BYTES), "{name}");
+            assert_eq!(decode.path, "line 1", "{name}");
+            assert!(reader.carry.len() <= MAX_EVENT_BYTES + CHUNK, "{name}");
+            assert!(reader.offset <= (MAX_EVENT_BYTES + CHUNK) as u64, "{name}");
+        }
     }
 
     #[test]

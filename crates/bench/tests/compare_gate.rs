@@ -126,6 +126,44 @@ fn synthetic_throughput_drop_trips_the_floor() {
 }
 
 #[test]
+fn a_metric_only_the_fresh_artifact_has_is_noted_as_ungated() {
+    let baseline = std::fs::read_to_string(committed_baseline()).expect("baseline readable");
+    // Delete one kernel from a baseline copy: against the full artifact
+    // the gate must say the fresh key has no baseline, not pass silently;
+    // the reverse order already notes it missing from the fresh side.
+    let line_start = baseline
+        .find("\"p256_ecdh\": ")
+        .expect("baseline has p256_ecdh");
+    let line_end = line_start + baseline[line_start..].find('\n').expect("line ends") + 1;
+    let line_start = baseline[..line_start].rfind('\n').expect("member line") + 1;
+    let older = format!("{}{}", &baseline[..line_start], &baseline[line_end..]);
+    let older_path = scratch_path("without_p256_ecdh.json");
+    std::fs::write(&older_path, older).expect("scratch artifact written");
+    let older_path = older_path.to_str().expect("utf8 path");
+    for (args, expected) in [
+        (
+            [older_path, &committed_baseline()],
+            "note: ns_per_op.p256_ecdh: not in baseline, ungated",
+        ),
+        (
+            [&committed_baseline(), older_path],
+            "note: ns_per_op.p256_ecdh: missing from fresh artifact",
+        ),
+    ] {
+        let output = blap_bench()
+            .arg("compare")
+            .args(args)
+            .output()
+            .expect("gate binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{args:?}:\n{stdout}");
+        assert!(stdout.contains("verdict: pass"), "{stdout}");
+        assert!(stdout.contains(expected), "{args:?}:\n{stdout}");
+    }
+    let _ = std::fs::remove_file(older_path);
+}
+
+#[test]
 fn zero_baseline_skips_lax_and_exits_two_strict() {
     let baseline = std::fs::read_to_string(committed_baseline()).expect("baseline readable");
     // Zero out the throughput metric in a baseline copy: the ratio divides

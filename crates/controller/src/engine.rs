@@ -708,12 +708,18 @@ impl Controller {
         self.caps_exchanged(at, caps, None, pdu)
     }
 
-    fn on_peer_io_cap(&mut self, at: LinkId, p: Procedure, peer: IoCaps) -> Procedure {
+    fn on_peer_io_cap(
+        &mut self,
+        at: LinkId,
+        p: Procedure,
+        peer: IoCaps,
+        dh: &mut DhMemo,
+    ) -> Procedure {
         let Procedure::AwaitIoCapResponse { own } = p else {
             return p;
         };
         // Initiator: our public key goes out before the responder's.
-        let (keypair, x, y) = self.generate_keypair();
+        let (keypair, x, y) = self.generate_keypair(dh);
         let caps = Caps {
             initiator: true,
             own,
@@ -765,7 +771,7 @@ impl Controller {
         let (keypair, own_x, responder_y) = match keypair {
             Some((keypair, own_x)) => (keypair, own_x, None),
             None => {
-                let (keypair, own_x, own_y) = self.generate_keypair();
+                let (keypair, own_x, own_y) = self.generate_keypair(dh);
                 (keypair, own_x, Some(own_y))
             }
         };
@@ -1015,8 +1021,10 @@ impl Controller {
     // --- LMP processing ---------------------------------------------------
 
     /// Processes one LMP PDU from the peer on the link claiming `from`.
-    /// `dh` is the world's DHKey memo: the end of an SSP pairing that
-    /// computes its DHKey second takes it from the first end's entry.
+    /// `dh` is the world's DHKey memo: each key pair drawn here registers
+    /// with it, the first end of an SSP pairing runs its DHKey against a
+    /// registered peer key as one fixed-base multiplication, and the end
+    /// that computes second takes it from the first end's entry.
     pub fn on_lmp(&mut self, now: Instant, from: BdAddr, pdu: LmpPdu, dh: &mut DhMemo) {
         self.now = now;
         self.stats.lmp_received += 1;
@@ -1099,7 +1107,7 @@ impl Controller {
                     io: io_capability,
                     auth_req: auth_requirements,
                 };
-                self.advance(from, |c, at, p| c.on_peer_io_cap(at, p, peer));
+                self.advance(from, |c, at, p| c.on_peer_io_cap(at, p, peer, dh));
             }
             LmpPdu::PublicKey { x, y } => {
                 self.advance(from, |c, at, p| c.on_peer_public_key(at, p, (x, y), dh));
@@ -1195,14 +1203,16 @@ impl Controller {
         self.links.get(&peer).and_then(|l| l.encryption_key)
     }
 
-    /// Draws a P-256 key pair and its public coordinates (big-endian).
-    fn generate_keypair(&mut self) -> (KeyPair, [u8; 32], [u8; 32]) {
+    /// Draws a P-256 key pair, registers it with the world's memo `dh`,
+    /// and returns it with its public coordinates (big-endian).
+    fn generate_keypair(&mut self, dh: &mut DhMemo) -> (KeyPair, [u8; 32], [u8; 32]) {
         loop {
             let mut bytes = [0u8; 32];
             self.rng.fill(&mut bytes);
             // A valid key pair's public point is never at infinity.
             if let Ok(kp) = KeyPair::from_rng_bytes(bytes) {
                 if let Point::Affine { x, y } = kp.public() {
+                    dh.register(&kp);
                     return (kp, x.to_be_bytes(), y.to_be_bytes());
                 }
             }

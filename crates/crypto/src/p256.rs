@@ -5,23 +5,31 @@
 //! `f2` link-key derivation. This module implements the curve from its
 //! domain parameters: a dedicated field element ([`FieldElement`]: 4×u64
 //! canonical limbs in the Montgomery domain, a Montgomery reduction whose
-//! rounds need no quotient multiply, branch-free add/sub, addition-chain
-//! inversion), Jacobian-coordinate group arithmetic, windowed-NAF scalar
-//! multiplication (with a precomputed fixed-base table for the generator),
-//! and public-key validation (the check whose absence enabled the
-//! Biham–Neumann invalid-curve attack cited by the paper). [`U256`]
+//! rounds need no quotient multiply, branch-free add/sub, safegcd
+//! inversion), a mod-n Montgomery product of scalars ([`Scalar::mul`]),
+//! Jacobian-coordinate group arithmetic, windowed-NAF scalar
+//! multiplication (with a precomputed signed-window table for the
+//! generator), and public-key validation (the check whose absence enabled
+//! the Biham–Neumann invalid-curve attack cited by the paper). [`U256`]
 //! appears only at the public boundary: point coordinates, scalars,
 //! [`field_mul`] and the DHKey bytes; values enter and leave the
 //! Montgomery domain there and nowhere else. [`DhMemo`] lets the two ends
-//! of one pairing share a single ECDH.
+//! of one pairing share a single ECDH, and turns that ECDH into a
+//! fixed-base multiplication when both key pairs were drawn in one world.
 //!
-//! Correctness is established structurally: every field operation is
-//! property-tested against the slow binary long division in
-//! [`crate::bigint`], the wNAF and fixed-base multipliers against the
-//! retained [`Point::mul_double_and_add`] reference, the generator
-//! satisfies the curve equation, `n·G = ∞`, scalar multiplication
-//! distributes over scalar addition, and ECDH agreement holds for
-//! arbitrary key pairs, memoized or not.
+//! Nothing here is constant-time: the simulator's secrets are seeded
+//! test keys in one process, with no timing side channel to defend, so
+//! the inversion, the signed-window lookups and the registry take
+//! data-dependent paths. Public-key validation still runs on every
+//! received key.
+//!
+//! Correctness is established structurally: every field operation and
+//! the scalar product are property-tested against the slow binary long
+//! division in [`crate::bigint`], the wNAF and fixed-base multipliers
+//! against the retained [`Point::mul_double_and_add`] reference, the
+//! generator satisfies the curve equation, `n·G = ∞`, scalar
+//! multiplication distributes over scalar addition, and ECDH agreement
+//! holds for arbitrary key pairs, memoized, registered or not.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -56,6 +64,23 @@ const R2: FieldElement = FieldElement([
     0xffff_fffb_ffff_ffff,
     0xffff_ffff_ffff_fffe,
     0x0000_0004_ffff_fffd,
+]);
+/// `R³ = 2^768 mod p`: a Montgomery multiply by it takes the plain inverse
+/// of `a·R` to `a⁻¹·R`.
+const R3: FieldElement = FieldElement([
+    0xffff_fffd_0000_000a,
+    0xffff_ffed_ffff_fff7,
+    0x0000_0005_ffff_fffc,
+    0x0000_0018_0000_0001,
+]);
+/// `−n⁻¹ mod 2^64`: the quotient factor of a mod-n Montgomery round.
+const N_NEG_INV: u64 = 0xccd1_c8aa_ee00_bc4f;
+/// `2^512 mod n`: a mod-n Montgomery multiply by it cancels one `R⁻¹`.
+const N_R2: U256 = U256::from_limbs([
+    0x8324_4c95_be79_eea2,
+    0x4699_799c_49bd_6fa6,
+    0x2845_b239_2b6b_ec59,
+    0x66e1_2d94_f3d9_5620,
 ]);
 const GX: U256 = U256::from_limbs([
     0xf4a1_3945_d898_c296,
@@ -95,12 +120,13 @@ pub fn generator() -> Point {
 /// equality and zero is still all-zero limbs. Values enter the domain
 /// only in [`Self::from_u256`] (a multiply by `R² mod p`) and leave it
 /// only in [`Self::to_u256`] (one reduction); everything between — the
-/// point formulas, the generator table, the inversion chain, the curve
+/// point formulas, the generator table, the inversion, the curve
 /// check — runs inside it. `add`/`sub`/`double`/`neg`/`half` are linear,
 /// so they work on `a·R` unchanged and select with masks instead of
 /// branching; `mul`/`sq` accumulate schoolbook rows of u128 limb products
 /// and Montgomery-reduce the 512-bit result, `(a·R)(b·R)·R⁻¹ = ab·R`;
-/// `inv` runs a fixed 255-squaring, 12-multiply addition chain. The slow
+/// `inv` runs variable-time safegcd on the limbs, then one multiply by
+/// `R³ mod p` to come back into the domain. The slow
 /// paths in [`crate::bigint`] (`mul_mod`, `add_mod`, `sub_mod`,
 /// `inv_mod_prime`) are the oracle these are property-tested against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -316,34 +342,224 @@ impl FieldElement {
         reduce(t)
     }
 
-    /// `self^(2^n)`: `n` successive squarings.
-    fn sq_n(&self, n: u32) -> Self {
-        let mut r = *self;
-        for _ in 0..n {
-            r = r.sq();
-        }
-        r
-    }
-
-    /// Multiplicative inverse (`None` for zero) as `self^(p-2)` by the
-    /// addition chain for `p - 2 = 2^256 - 2^224 + 2^192 + 2^96 - 3`:
-    /// 255 squarings and 12 multiplications. `xk` is `self^(2^k - 1)`.
+    /// Multiplicative inverse (`None` for zero). The limbs hold `a·R`;
+    /// safegcd inverts them as a plain integer, giving
+    /// `a⁻¹·R⁻¹`, and a multiply by `R³` yields `a⁻¹·R`.
     pub fn inv(&self) -> Option<Self> {
         if self.is_zero() {
             return None;
         }
-        let x2 = self.sq().mul(self);
-        let x3 = x2.sq().mul(self);
-        let x6 = x3.sq_n(3).mul(&x3);
-        let x12 = x6.sq_n(6).mul(&x6);
-        let x15 = x12.sq_n(3).mul(&x3);
-        let x16 = x15.sq().mul(self);
-        let x32 = x16.sq_n(16).mul(&x16);
-        let i53 = x32.sq_n(15);
-        let x47 = i53.mul(&x15);
-        let i263 = i53.sq_n(17).mul(self).sq_n(143).mul(&x47).sq_n(47);
-        Some(i263.mul(&x47).sq_n(2).mul(self))
+        Some(FieldElement(inv_mod_p(self.0)).mul(&R3))
     }
+}
+
+// --- inversion -------------------------------------------------------------
+//
+// Bernstein–Yang safegcd ("Fast constant-time gcd computation and modular
+// inversion", TCHES 2019) in its variable-time form, with the 62-divstep
+// batches and the signed-62 limb layout of libsecp256k1's `modinv64_var`.
+// Each batch runs 62 divsteps on the low 64 bits of `f` and `g` alone and
+// records them as a 2×2 matrix scaled by 2^62; the matrix then updates the
+// full-width `f, g` (exactly, dividing by 2^62) and the Bézout pair `d, e`
+// (modulo p, adding the multiple of p that clears the low 62 bits). Once
+// `g` reaches 0, `f = ±1` and `±d` is the inverse.
+
+/// `2^62 − 1`: the mask of one signed-62 limb.
+const M62: u64 = u64::MAX >> 2;
+
+/// A value as five signed 62-bit limbs, `Σ v[i]·2^(62i)`. Between steps a
+/// limb may be negative or (the top one) wider than 62 bits.
+type Signed62 = [i64; 5];
+
+/// p as signed-62 limbs.
+const P62: Signed62 = to_signed62(P);
+
+/// `p⁻¹ mod 2^62`: p ≡ −1 (mod 2^96), so it is −1, that is `2^62 − 1`.
+const P_INV62: u64 = M62;
+
+/// The 62 divsteps of one batch as `[u v; q r]`: the new
+/// `(f, g)·2^62 = (u·f + v·g, q·f + r·g)`.
+struct Divsteps {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+const fn to_signed62(a: [u64; 4]) -> Signed62 {
+    [
+        (a[0] & M62) as i64,
+        ((a[0] >> 62 | a[1] << 2) & M62) as i64,
+        ((a[1] >> 60 | a[2] << 4) & M62) as i64,
+        ((a[2] >> 58 | a[3] << 6) & M62) as i64,
+        (a[3] >> 56) as i64,
+    ]
+}
+
+/// The inverse of the canonical, nonzero `x < p` as a plain integer.
+fn inv_mod_p(x: [u64; 4]) -> [u64; 4] {
+    let (mut d, mut e): (Signed62, Signed62) = ([0; 5], [1, 0, 0, 0, 0]);
+    let (mut f, mut g) = (P62, to_signed62(x));
+    // η = −δ, with δ = 1 at the start; `len` limbs of f and g are live.
+    let (mut eta, mut len) = (-1i64, 5usize);
+    loop {
+        let (next_eta, t) = divsteps_62(eta, f[0] as u64, g[0] as u64);
+        eta = next_eta;
+        update_de(&mut d, &mut e, &t);
+        update_fg(&mut f[..len], &mut g[..len], &t);
+        if g[..len].iter().all(|&limb| limb == 0) {
+            break;
+        }
+        // When the top limbs of f and g are both 0 or −1, fold their sign
+        // into the limb below and drop them.
+        let (fn_, gn) = (f[len - 1], g[len - 1]);
+        if len > 1 && (fn_ ^ (fn_ >> 63)) | (gn ^ (gn >> 63)) == 0 {
+            f[len - 2] |= fn_ << 62;
+            g[len - 2] |= gn << 62;
+            len -= 1;
+        }
+    }
+    // g = 0 leaves f = ±gcd = ±1: d, negated when f is −1, is the inverse.
+    let d = normalize(d, f[len - 1]).map(|limb| limb as u64);
+    [
+        d[0] | d[1] << 62,
+        d[1] >> 2 | d[2] << 60,
+        d[2] >> 4 | d[3] << 58,
+        d[3] >> 6 | d[4] << 56,
+    ]
+}
+
+/// Runs 62 divsteps on the low bits `f0` (odd) and `g0`, skipping runs of
+/// zero bits of g in one shift each and cancelling up to 6 bits of g per
+/// swap. Returns the new η and the batch's matrix.
+fn divsteps_62(mut eta: i64, f0: u64, g0: u64) -> (i64, Divsteps) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut left = 62u32;
+    loop {
+        // The sentinel bits stop the count at the divsteps left.
+        let zeros = (g | (u64::MAX << left)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            break;
+        }
+        // g is odd now. Cancel its low bits with a multiple w of f, after
+        // swapping (f, g) to (g, −f) when η < 0.
+        let limit = (eta.unsigned_abs() + 1).min(u64::from(left)) as u32;
+        let w = if eta < 0 {
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // f·(f² − 2) ≡ −f⁻¹ (mod 2^6): up to 6 bits per step.
+            let mask = (u64::MAX >> (64 - limit)) & 63;
+            f.wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & mask
+        } else {
+            // η tends to be small here: a cheaper inverse to 4 bits.
+            let mask = (u64::MAX >> (64 - limit)) & 15;
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            f_inv.wrapping_neg().wrapping_mul(g) & mask
+        };
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    let t = Divsteps {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (eta, t)
+}
+
+/// `(d, e) ← t·(d, e)/2^62 (mod p)`, keeping both in `(−2p, p)`: adds the
+/// multiples `md, me` of p that clear the low 62 bits before the shift.
+fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Divsteps) {
+    let (u, v, q, r) = (t.u, t.v, t.q, t.r);
+    // Start from [u, q] when d is negative and [v, r] when e is, so the
+    // results stay above −2p.
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (u & sd) + (v & se);
+    let mut me = (q & sd) + (r & se);
+    let mut cd = i128::from(u) * i128::from(d[0]) + i128::from(v) * i128::from(e[0]);
+    let mut ce = i128::from(q) * i128::from(d[0]) + i128::from(r) * i128::from(e[0]);
+    md -= (P_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (P_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += i128::from(P62[0]) * i128::from(md);
+    ce += i128::from(P62[0]) * i128::from(me);
+    debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += i128::from(u) * i128::from(d[i])
+            + i128::from(v) * i128::from(e[i])
+            + i128::from(P62[i]) * i128::from(md);
+        ce += i128::from(q) * i128::from(d[i])
+            + i128::from(r) * i128::from(e[i])
+            + i128::from(P62[i]) * i128::from(me);
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g)/2^62` over the live limbs; exact, since the batch
+/// cleared the low 62 bits of both.
+fn update_fg(f: &mut [i64], g: &mut [i64], t: &Divsteps) {
+    let (u, v, q, r) = (
+        i128::from(t.u),
+        i128::from(t.v),
+        i128::from(t.q),
+        i128::from(t.r),
+    );
+    let mut cf = u * i128::from(f[0]) + v * i128::from(g[0]);
+    let mut cg = q * i128::from(f[0]) + r * i128::from(g[0]);
+    debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..f.len() {
+        cf += u * i128::from(f[i]) + v * i128::from(g[i]);
+        cg += q * i128::from(f[i]) + r * i128::from(g[i]);
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[f.len() - 1] = cf as i64;
+    g[g.len() - 1] = cg as i64;
+}
+
+/// Brings `r` in `(−2p, p)` to `[0, p)` with 62-bit limbs, negated first
+/// when `sign` is negative.
+fn normalize(mut r: Signed62, sign: i64) -> Signed62 {
+    let carry = |r: &mut Signed62| {
+        for i in 0..4 {
+            r[i + 1] += r[i] >> 62;
+            r[i] &= M62 as i64;
+        }
+    };
+    let add_p = r[4] >> 63;
+    let negate = sign >> 63;
+    for (limb, p) in r.iter_mut().zip(P62) {
+        *limb = ((*limb + (p & add_p)) ^ negate) - negate;
+    }
+    carry(&mut r);
+    let add_p = r[4] >> 63;
+    for (limb, p) in r.iter_mut().zip(P62) {
+        *limb += p & add_p;
+    }
+    carry(&mut r);
+    r
 }
 
 /// Multiplies two field elements modulo the P-256 prime on the dedicated
@@ -386,6 +602,42 @@ impl Scalar {
     /// Whether the scalar is zero (an invalid private key).
     pub fn is_zero(&self) -> bool {
         self.0.is_zero()
+    }
+
+    /// `self · rhs mod n` by two mod-n Montgomery multiplications:
+    /// `mont(a, b) = a·b·R⁻¹`, and `mont(a·b·R⁻¹, R² mod n) = a·b`.
+    pub fn mul(&self, rhs: &Scalar) -> Scalar {
+        Scalar(mont_mul_n(mont_mul_n(self.0, rhs.0), N_R2))
+    }
+}
+
+/// Montgomery multiplication modulo n: `a·b·R⁻¹ mod n` for `a, b < n`.
+///
+/// n has no special form, so each of the four reduction rounds multiplies
+/// for its quotient `m = t[i]·(−n⁻¹) mod 2^64` and adds `m·n·2^(64i)`,
+/// which clears limb `i`. The high half with the top carry is then
+/// `(t + M·n)/R < 2n`, for one conditional subtraction to finish.
+fn mont_mul_n(a: U256, b: U256) -> U256 {
+    let n = N.limbs();
+    let mut t = a.widening_mul(b).limbs_le();
+    let mut top = 0u64;
+    for i in 0..4 {
+        let m = t[i].wrapping_mul(N_NEG_INV);
+        let mut carry = 0u64;
+        for j in 0..4 {
+            let acc = t[i + j] as u128 + m as u128 * n[j] as u128 + carry as u128;
+            t[i + j] = acc as u64;
+            carry = (acc >> 64) as u64;
+        }
+        let acc = t[i + 4] as u128 + carry as u128 + top as u128;
+        t[i + 4] = acc as u64;
+        top = (acc >> 64) as u64;
+    }
+    let r = U256::from_limbs([t[4], t[5], t[6], t[7]]);
+    if top == 1 || r >= N {
+        r.overflowing_sub(N).0
+    } else {
+        r
     }
 }
 
@@ -678,46 +930,68 @@ fn mul_wnaf(base: &Point, k: &U256) -> Point {
     acc.to_affine()
 }
 
-/// Fixed-base window width: 4-bit digits, 64 windows, 15 odd+even entries
-/// per window (`j · 16^w · G` for `j` in 1..=15).
-const FB_WINDOWS: usize = 64;
-const FB_TABLE_PER_WINDOW: usize = 15;
+/// Fixed-base windows: 43 signed 6-bit digits cover the 256-bit scalar
+/// (258 bits), each in `[−31, 32]`.
+const FB_WINDOWS: usize = 43;
+/// Entries per window: `j · 64^w · G` for `j` in 1..=32; a negative digit
+/// takes entry `−j` with y negated.
+const FB_TABLE_PER_WINDOW: usize = 32;
 
 static GEN_TABLE: OnceLock<Vec<AffineFe>> = OnceLock::new();
 
-/// The precomputed generator table. Built once per process (~1k group
-/// additions + one batched inversion), it turns every subsequent `k·G`
-/// into at most 64 mixed additions with no doubles at all — keygen is the
-/// hot path of every simulated pairing, one per device per trial.
+/// The precomputed generator table, 43 × 32 affine points (86 KiB). Built
+/// once per process (1333 additions, 43 doublings and one batched
+/// inversion), it turns every subsequent `k·G` into at most 43 mixed
+/// additions with no doubles at all: every key generation and, through
+/// [`DhMemo`]'s registry, every in-world DHKey.
 fn gen_table() -> &'static [AffineFe] {
     GEN_TABLE.get_or_init(|| {
         let mut points = Vec::with_capacity(FB_WINDOWS * FB_TABLE_PER_WINDOW);
         let mut window_base = Jacobian::from_affine(&generator());
         for _ in 0..FB_WINDOWS {
-            // multiple walks j·(16^w·G) for j = 1..=15; one more addition
-            // yields 16·(16^w·G), the next window's base.
+            // multiple walks j·(64^w·G) for j = 1..=32; doubling the last
+            // yields 64·(64^w·G), the next window's base.
             let mut multiple = window_base;
-            for _ in 0..FB_TABLE_PER_WINDOW {
-                points.push(multiple);
+            points.push(multiple);
+            for _ in 1..FB_TABLE_PER_WINDOW {
                 multiple = multiple.add(&window_base);
+                points.push(multiple);
             }
-            window_base = multiple;
+            window_base = multiple.double();
         }
         batch_to_affine(&points)
     })
 }
 
 /// Fixed-base scalar multiplication `k·G` via the precomputed table.
+///
+/// Each 6-bit window plus the carry from below is a value in `0..=64`; a
+/// value above 32 becomes the digit `value − 64` with a carry of one into
+/// the next window, so digits fall in `[−31, 32]`. The top window holds
+/// bits 252..=255 and at most a carry, so it ends the recoding without
+/// one.
 fn mul_generator(k: &U256) -> Point {
     let table = gen_table();
     let limbs = k.limbs();
     let mut acc = Jacobian::INFINITY;
-    for window in 0..FB_WINDOWS {
-        let digit = ((limbs[window / 16] >> (4 * (window % 16))) & 0xf) as usize;
-        if digit != 0 {
-            acc = acc.madd(table[window * FB_TABLE_PER_WINDOW + digit - 1]);
+    let mut carry = 0u64;
+    for (window, entries) in table.chunks_exact(FB_TABLE_PER_WINDOW).enumerate() {
+        let (limb, shift) = (window * 6 / 64, window * 6 % 64);
+        let mut bits = limbs[limb] >> shift;
+        if shift > 58 && limb < 3 {
+            bits |= limbs[limb + 1] << (64 - shift);
+        }
+        let value = (bits & 63) + carry;
+        carry = u64::from(value > 32);
+        let digit = value as i64 - ((carry as i64) << 6);
+        if digit > 0 {
+            acc = acc.madd(entries[digit as usize - 1]);
+        } else if digit < 0 {
+            let (x, y) = entries[digit.unsigned_abs() as usize - 1];
+            acc = acc.madd((x, y.neg()));
         }
     }
+    debug_assert_eq!(carry, 0, "the top window leaves no carry");
     acc.to_affine()
 }
 
@@ -770,9 +1044,9 @@ impl Point {
     /// Scalar multiplication.
     ///
     /// Dispatches to the precomputed fixed-base table when `self` is the
-    /// curve generator (the keygen hot path) and to width-5 windowed-NAF
-    /// otherwise (the ECDH hot path). Both are pinned property-test-equal
-    /// to [`Self::mul_double_and_add`].
+    /// curve generator (key generation) and to width-5 windowed-NAF
+    /// otherwise (an ECDH against a key no [`DhMemo`] registered). Both
+    /// are pinned property-test-equal to [`Self::mul_double_and_add`].
     pub fn mul(&self, k: &Scalar) -> Point {
         let _prof = blap_obs::prof::scope("crypto.p256");
         if *self == generator() {
@@ -913,23 +1187,34 @@ struct DhEntry {
     dhkey: [u8; 32],
 }
 
-/// One ECDH per pairing: both ends of an SSP exchange compute the same
-/// point, `x·(y·G) = y·(x·G)`, so the end that computes second can take
-/// the first end's DHKey instead of running its own scalar multiplication.
+/// One ECDH per pairing, as one fixed-base multiplication: both ends of
+/// an SSP exchange compute the same point, `x·(y·G) = y·(x·G)`, so the
+/// end that computes second takes the first end's DHKey; and when both
+/// key pairs were drawn in the same world, that point is `(x·y mod n)·G`.
 ///
+/// - [`DhMemo::register`] records a key pair the world drew, so its
+///   public key is known to derive from its secret. At most
+///   [`DhMemo::KEY_CAPACITY`] live in a fixed array; a full registry
+///   evicts its oldest.
 /// - [`DhMemo::diffie_hellman`] validates the remote key exactly as
 ///   [`KeyPair::diffie_hellman`] does, before any lookup, so an off-curve
 ///   key or infinity never enters the memo and never hits.
-/// - A miss computes the DHKey and records (own public key, peer public
-///   key, DHKey). A later call hits only when its remote key is an entry's
-///   own key and its own public key is that entry's peer key. Every
-///   [`KeyPair`] derives its public key from its secret, so a hit returns
-///   exactly the bytes this end would have computed; debug builds
-///   recompute and assert it.
+/// - A miss on the exchanges computes the DHKey: by the generator table
+///   on `own·r mod n` when `remote` is a registered public key with
+///   secret `r`, by the windowed-NAF multiplier on any other key (a
+///   test's, or a peer's the world did not draw). It records (own public
+///   key, peer public key, DHKey). A later call hits only when its remote
+///   key is an entry's own key and its own public key is that entry's
+///   peer key. Every [`KeyPair`] derives its public key from its secret,
+///   so a hit or a registered product returns exactly the bytes this end
+///   would have computed; debug builds recompute both by the windowed-NAF
+///   multiplier and assert it.
 /// - A hit removes its entry. At most [`DhMemo::CAPACITY`] entries live
 ///   in a fixed array, and a full memo evicts its oldest: a miss only
 ///   recomputes, so eviction never changes a byte, and a peer that opens
 ///   pairings without finishing them cannot grow the memo.
+/// - Nothing goes on the heap, and the memo dies with its world, so no
+///   secret outlives the trial that drew it.
 ///
 /// # Examples
 ///
@@ -939,9 +1224,11 @@ struct DhEntry {
 /// let alice = KeyPair::from_secret(Scalar::from_u64(7))?;
 /// let bob = KeyPair::from_secret(Scalar::from_u64(11))?;
 /// let mut memo = DhMemo::new();
-/// let first = memo.diffie_hellman(&bob, &alice.public())?; // computes
+/// memo.register(&alice);
+/// let first = memo.diffie_hellman(&bob, &alice.public())?; // (11·7)·G
 /// let second = memo.diffie_hellman(&alice, &bob.public())?; // reuses
 /// assert_eq!(first, second);
+/// assert_eq!(first, alice.diffie_hellman(&bob.public())?);
 /// assert!(memo.is_empty());
 /// # Ok::<(), blap_crypto::p256::EcdhError>(())
 /// ```
@@ -949,12 +1236,18 @@ pub struct DhMemo {
     /// Live entries, oldest first, in `entries[..len]`.
     entries: [DhEntry; DhMemo::CAPACITY],
     len: usize,
+    /// Registered key pairs, oldest first, in `keys[..keys_len]`.
+    keys: [KeyPair; DhMemo::KEY_CAPACITY],
+    keys_len: usize,
 }
 
 impl fmt::Debug for DhMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // DHKeys are key material: show only how many are held.
-        f.debug_struct("DhMemo").field("len", &self.len).finish()
+        // DHKeys and secrets are key material: show only how many are held.
+        f.debug_struct("DhMemo")
+            .field("len", &self.len)
+            .field("registered", &self.keys_len)
+            .finish()
     }
 }
 
@@ -967,6 +1260,8 @@ impl Default for DhMemo {
 impl DhMemo {
     /// How many exchanges the memo holds before it evicts the oldest.
     pub const CAPACITY: usize = 4;
+    /// How many key pairs the registry holds before it evicts the oldest.
+    pub const KEY_CAPACITY: usize = 8;
 
     /// An empty memo.
     pub const fn new() -> Self {
@@ -975,9 +1270,15 @@ impl DhMemo {
             peer: Point::Infinity,
             dhkey: [0; 32],
         };
+        const VACANT_KEY: KeyPair = KeyPair {
+            secret: Scalar(U256::ZERO),
+            public: Point::Infinity,
+        };
         DhMemo {
             entries: [VACANT; DhMemo::CAPACITY],
             len: 0,
+            keys: [VACANT_KEY; DhMemo::KEY_CAPACITY],
+            keys_len: 0,
         }
     }
 
@@ -991,8 +1292,26 @@ impl DhMemo {
         self.len == 0
     }
 
+    /// How many key pairs are registered.
+    pub fn registered(&self) -> usize {
+        self.keys_len
+    }
+
+    /// Registers a key pair drawn in this memo's world, so a later
+    /// exchange against its public key runs as a fixed-base
+    /// multiplication. A full registry evicts its oldest pair.
+    pub fn register(&mut self, pair: &KeyPair) {
+        if self.keys_len == DhMemo::KEY_CAPACITY {
+            self.keys.rotate_left(1);
+            self.keys_len -= 1;
+        }
+        self.keys[self.keys_len] = pair.clone();
+        self.keys_len += 1;
+    }
+
     /// [`KeyPair::diffie_hellman`] for `own` against `remote`, taking the
-    /// DHKey from the other end's earlier call when there was one.
+    /// DHKey from the other end's earlier call when there was one, and
+    /// from the generator table when `remote` is registered.
     ///
     /// # Errors
     ///
@@ -1012,7 +1331,24 @@ impl DhMemo {
             );
             return Ok(dhkey);
         }
-        let dhkey = dhkey_of(remote.mul(&own.secret))?;
+        let registered = self.keys[..self.keys_len]
+            .iter()
+            .find(|pair| pair.public == *remote);
+        let dhkey = match registered {
+            Some(peer) => {
+                let shared = {
+                    let _prof = blap_obs::prof::scope("crypto.p256");
+                    mul_generator(&own.secret.mul(&peer.secret).0)
+                };
+                debug_assert_eq!(
+                    shared,
+                    mul_wnaf(remote, &own.secret.0),
+                    "registered DHKey differs from this end's own"
+                );
+                dhkey_of(shared)?
+            }
+            None => dhkey_of(remote.mul(&own.secret))?,
+        };
         if self.len == DhMemo::CAPACITY {
             self.entries.copy_within(1.., 0);
             self.len -= 1;
@@ -1109,6 +1445,17 @@ mod tests {
         assert_eq!(B, FieldElement::from_u256(b), "B = from_u256(b)");
         assert_eq!(U256::from_limbs(B.0), b.mul_mod(r, p), "B = b·2^256 mod p");
         assert_eq!(B.to_u256(), b);
+        let r3 = r.mul_mod(r, p).mul_mod(r, p);
+        assert_eq!(U256::from_limbs(R3.0), r3, "R³ = 2^768 mod p");
+        let n = group_order();
+        let r_n = U256::ZERO.overflowing_sub(n).0;
+        assert_eq!(N_R2, r_n.mul_mod(r_n, n), "2^512 mod n");
+        assert_eq!(
+            N_NEG_INV.wrapping_mul(n.limbs()[0]),
+            u64::MAX,
+            "−n⁻¹·n ≡ −1 (mod 2^64)"
+        );
+        assert_eq!(P_INV62.wrapping_mul(P[0]) & M62, 1, "p⁻¹·p ≡ 1 (mod 2^62)");
     }
 
     #[test]

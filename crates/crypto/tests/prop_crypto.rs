@@ -182,7 +182,8 @@ proptest! {
 
 /// Field values at the edges of the representation: 0, 1, p−1, p−2, the
 /// reduced all-ones limbs (`2^256 − 1 − p`), four values whose 32-bit
-/// words are each 0 or 2^32 − 1, and 2^32 and 2^64 − 1. Between them they
+/// words are each 0 or 2^32 − 1, 2^32 and 2^64 − 1, and for the safegcd
+/// inversion 2 and `R mod p = 2^256 − p`. Between them they
 /// drive every ending of the Montgomery reduction (`t·2^−256 mod p`,
 /// which leaves `(t + m·p)/2^256 < 2p` for one masked subtraction of p):
 /// the squares of p−1, p−2, 2^32 and 2^64 − 1 carry out of 2^256; entering
@@ -204,6 +205,8 @@ fn field_edge_values() -> Vec<U256> {
         U256::from_hex("ffffffff00000000ffffffff0000000000000000000000000000000000000000"),
         U256::from_u64(1 << 32),
         U256::from_u64(u64::MAX),
+        U256::from_u64(2),
+        U256::ZERO.overflowing_sub(p).0,
     ]
 }
 
@@ -287,6 +290,129 @@ proptest! {
         for peer in &peers {
             prop_assert_eq!(memo.diffie_hellman(peer, &pa), peer.diffie_hellman(&pa));
         }
+    }
+}
+
+// The registry: a DHKey against a registered key is `(own·r mod n)·G`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn dh_registry_returns_what_each_end_computes(a in any::<[u8; 32]>(),
+                                                  b in any::<[u8; 32]>(),
+                                                  c in any::<[u8; 32]>()) {
+        use p256::{DhMemo, EcdhError, KeyPair, Point};
+        let key = |bytes| KeyPair::from_rng_bytes(bytes).expect("nonzero secret");
+        let (ka, kb, kc) = (key(a), key(b), key(c));
+        let (pa, pb, pc) = (ka.public(), kb.public(), kc.public());
+        prop_assume!(pa != pb && pa != pc && pb != pc);
+        let mut memo = DhMemo::new();
+        memo.register(&ka);
+        memo.register(&kb);
+        prop_assert_eq!(memo.registered(), 2);
+
+        // Registered remote: B's end runs (b·a mod n)·G, A's end takes it.
+        prop_assert_eq!(memo.diffie_hellman(&kb, &pa), kb.diffie_hellman(&pa));
+        prop_assert_eq!(memo.diffie_hellman(&ka, &pb), ka.diffie_hellman(&pb));
+        prop_assert!(memo.is_empty());
+        // Unregistered remote: C's key was never registered.
+        prop_assert_eq!(memo.diffie_hellman(&ka, &pc), ka.diffie_hellman(&pc));
+        // Reflected remotes, registered (A's) and not (C's).
+        prop_assert_eq!(memo.diffie_hellman(&ka, &pa), ka.diffie_hellman(&pa));
+        prop_assert_eq!(memo.diffie_hellman(&kc, &pc), kc.diffie_hellman(&pc));
+
+        // Invalid keys are rejected before any lookup, registered or not.
+        let (len, registered) = (memo.len(), memo.registered());
+        let Point::Affine { x, y } = pa else { unreachable!("public keys are affine") };
+        let off_curve = Point::Affine { x, y: y.overflowing_add(U256::ONE).0 };
+        for bad in [off_curve, Point::Infinity] {
+            prop_assert_eq!(memo.diffie_hellman(&kb, &bad), Err(EcdhError::InvalidPublicKey));
+            prop_assert_eq!((memo.len(), memo.registered()), (len, registered));
+        }
+
+        // Past capacity the registry evicts its oldest pairs, A and B
+        // first; evicted or kept, every DHKey is the computed one.
+        let peers: Vec<KeyPair> = (0..DhMemo::KEY_CAPACITY as u8)
+            .map(|i| {
+                let mut bytes = c;
+                bytes[0] ^= i + 1;
+                key(bytes)
+            })
+            .collect();
+        for peer in &peers {
+            memo.register(peer);
+            prop_assert!(memo.registered() <= DhMemo::KEY_CAPACITY);
+        }
+        prop_assert_eq!(memo.registered(), DhMemo::KEY_CAPACITY);
+        for peer in &peers {
+            prop_assert_eq!(memo.diffie_hellman(&kb, &peer.public()), kb.diffie_hellman(&peer.public()));
+        }
+        prop_assert_eq!(memo.diffie_hellman(&kc, &pa), kc.diffie_hellman(&pa));
+        prop_assert_eq!(memo.diffie_hellman(&kc, &pb), kc.diffie_hellman(&pb));
+    }
+
+    #[test]
+    fn scalar_mul_matches_mul_mod(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+        use p256::Scalar;
+        let n = p256::group_order();
+        let (a, b) = (Scalar::from_be_bytes(a), Scalar::from_be_bytes(b));
+        prop_assert_eq!(a.mul(&b).value(), a.value().mul_mod(b.value(), n));
+    }
+}
+
+#[test]
+fn scalar_mul_edge_values_match_mul_mod() {
+    use p256::Scalar;
+    let n = p256::group_order();
+    let edges = [
+        U256::ZERO,
+        U256::ONE,
+        n.overflowing_sub(U256::ONE).0,
+        n.overflowing_sub(U256::from_u64(2)).0,
+    ];
+    for &a in &edges {
+        for &b in &edges {
+            let product = Scalar::from_u256(a).mul(&Scalar::from_u256(b));
+            assert_eq!(product.value(), a.mul_mod(b, n), "{a} * {b} mod n");
+        }
+    }
+}
+
+/// The scalar whose 6-bit windows `0..count` all hold `digit`, truncated
+/// to 256 bits.
+fn repeated_windows(digit: u64, count: usize) -> U256 {
+    let mut limbs = [0u64; 4];
+    for bit in (0..count * 6).filter(|&bit| digit >> (bit % 6) & 1 == 1 && bit < 256) {
+        limbs[bit / 64] |= 1 << (bit % 64);
+    }
+    U256::from_limbs(limbs)
+}
+
+#[test]
+fn fixed_base_recoding_matches_double_and_add() {
+    use p256::{generator, Scalar};
+    let n = p256::group_order();
+    // Small scalars hit every digit of the lowest windows; n − 1 and 2^255
+    // reach the top window; windows all 32 stay positive, all 33 carry
+    // into the next window (33 − 64 = −31), and all 63 carry through
+    // every window (digit −1, then 64 − 64 = 0 with the carry passed on).
+    let mut scalars: Vec<U256> = (1..=70).map(U256::from_u64).collect();
+    scalars.extend([
+        n.overflowing_sub(U256::ONE).0,
+        U256::from_limbs([0, 0, 0, 1 << 63]),
+        repeated_windows(32, 43),
+        repeated_windows(33, 43),
+        repeated_windows(63, 42),
+    ]);
+    for k in scalars {
+        assert!(k < n, "{k} is a reduced scalar");
+        let k = Scalar::from_u256(k);
+        assert_eq!(
+            generator().mul(&k),
+            generator().mul_double_and_add(&k),
+            "{:?}",
+            k.value()
+        );
     }
 }
 

@@ -108,9 +108,10 @@ pub struct World {
     /// Open `page` spans keyed by (pager, paged address); populated only
     /// while a tracer is attached.
     page_spans: HashMap<(DeviceId, BdAddr), SpanId>,
-    /// DHKeys awaiting the other end of their SSP pairing, lent to every
-    /// `on_lmp` call: one ECDH per pairing instead of two. It lives and
-    /// dies with this world, so nothing crosses trials.
+    /// The key pairs drawn in this world and the DHKeys awaiting the
+    /// other end of their SSP pairing, lent to every `on_lmp` call: a
+    /// pairing's DHKey is one fixed-base multiplication, run once. It
+    /// lives and dies with this world, so nothing crosses trials.
     dh_memo: DhMemo,
 }
 

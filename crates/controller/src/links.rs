@@ -10,8 +10,10 @@
 //! An input that fits no arm returns the procedure unchanged, and every
 //! pairing starts from a fresh variant.
 
+use blap_crypto::hmac::HmacKey;
 use blap_crypto::p256::KeyPair;
 use blap_crypto::ssp;
+use blap_obs::prof;
 use blap_types::{
     AssociationModel, BdAddr, ConnectionHandle, IoCapability, LinkKey, LinkKeyType, Role,
 };
@@ -158,7 +160,9 @@ pub(crate) struct Transcript {
     pub(crate) initiator: bool,
     pub(crate) own: End,
     pub(crate) peer: End,
-    dhkey: [u8; 32],
+    /// The DHKey with its HMAC pads hashed, once for this end's `f2` and
+    /// both `f3` checks.
+    dhkey: HmacKey,
 }
 
 impl Transcript {
@@ -178,7 +182,10 @@ impl Transcript {
             initiator: e.caps.initiator,
             own: end(own_addr, e.caps.own, e.own_x, own_nonce),
             peer: end(peer_addr, e.caps.peer, e.peer_x, peer_nonce),
-            dhkey: e.dhkey,
+            dhkey: {
+                let _prof = prof::scope("crypto.ssp");
+                HmacKey::new(&e.dhkey)
+            },
         }
     }
 

@@ -51,9 +51,7 @@ pub fn all_from_snoop_log(device: &Device) -> Vec<(BdAddr, LinkKey)> {
 pub fn from_usb_capture(device: &Device, peer: BdAddr) -> Option<LinkKey> {
     let raw = device.usb_capture()?;
     // The paper converts to ASCII hex to eyeball/grep the stream; the
-    // conversion is behaviour-preserving, so scan the bytes directly and
-    // keep the text form available for display.
-    let _searchable_text = hexconv::to_hex_string(&raw[..raw.len().min(64)]);
+    // conversion is behaviour-preserving, so scan the bytes directly.
     hexconv::scan_link_key_replies(&raw)
         .into_iter()
         .map(|m| {

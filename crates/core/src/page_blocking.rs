@@ -16,6 +16,7 @@
 use blap_baseband::race::PageRaceModel;
 use blap_obs::{prof, Metrics, Tracer};
 use blap_sim::{profiles, DeviceId, DeviceProfile, World};
+use blap_snoop::log::HciTrace;
 use blap_types::{BdAddr, Duration, LinkKeyType};
 
 use crate::addrs;
@@ -183,14 +184,14 @@ impl PageBlockingScenario {
         let m_device = world.device(m);
         // The iPhone case (§VI-B2): when M exposes no HCI dump, analyze the
         // attacker's dump instead, exactly as the paper did.
-        let m_trace = m_device.snoop_trace();
-        let fig12b_signature = if m_device.bug_report().is_some() {
-            m_trace.has_page_blocking_signature(c_addr)
-        } else {
-            world
+        let fig12b_signature = match m_device.bug_report() {
+            Some(dump) => HciTrace::from_btsnoop_bytes(&dump)
+                .unwrap_or_default()
+                .has_page_blocking_signature(c_addr),
+            None => world
                 .device(a)
                 .snoop_trace()
-                .has_attacker_side_page_blocking_signature(m_addr)
+                .has_attacker_side_page_blocking_signature(m_addr),
         };
         let popup_shown = m_device.user.saw_pairing_popup();
         let popup_had_number = m_device.user.saw_numeric_value();

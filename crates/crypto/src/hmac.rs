@@ -1,7 +1,69 @@
 //! HMAC-SHA-256 (RFC 2104), the keyed MAC every modern Bluetooth pairing
 //! function is built from.
 
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{compress, Sha256, BLOCK_LEN, DIGEST_LEN, H0};
+
+/// An HMAC-SHA-256 key with its pads already hashed: the SHA-256 states
+/// after the inner (`key ⊕ 0x36…`) and outer (`key ⊕ 0x5c…`) pad blocks.
+///
+/// Those two compressions depend on the key alone, so a key that MACs
+/// several messages (the DHKey behind an SSP transcript's `f2` and both
+/// `f3` checks) pays for them once; each [`HmacKey::mac`] then hashes only
+/// the message and the inner digest.
+///
+/// # Examples
+///
+/// ```
+/// use blap_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"Jefe");
+/// let msg = b"what do ya want for nothing?";
+/// assert_eq!(key.mac(msg), hmac_sha256(b"Jefe", msg));
+/// ```
+#[derive(Clone, Copy)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Hashes the two pad blocks of `key`.
+    ///
+    /// Keys longer than the 64-byte block are pre-hashed, per RFC 2104.
+    pub fn new(key: &[u8]) -> Self {
+        let mut block_key = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block_key[..DIGEST_LEN].copy_from_slice(&crate::sha256::digest(key));
+        } else {
+            block_key[..key.len()].copy_from_slice(key);
+        }
+        let pad_state = |pad: u8| {
+            let mut state = H0;
+            compress(&mut state, &block_key.map(|b| b ^ pad));
+            state
+        };
+        HmacKey {
+            inner: pad_state(0x36),
+            outer: pad_state(0x5c),
+        }
+    }
+
+    /// `HMAC-SHA-256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut inner = Sha256::resume(self.inner, 1);
+        inner.update(message);
+        let mut outer = Sha256::resume(self.outer, 1);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The pad states are as secret as the key.
+        f.write_str("HmacKey(..)")
+    }
+}
 
 /// Computes `HMAC-SHA-256(key, message)`.
 ///
@@ -14,30 +76,7 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// assert_eq!(mac[0], 0xb0);
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut block_key = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let digest = crate::sha256::digest(key);
-        block_key[..DIGEST_LEN].copy_from_slice(&digest);
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= block_key[i];
-        opad[i] ^= block_key[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! math, so the attack code extracts a key that genuinely authenticates:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (validated against published vectors),
+//!   on the CPU's SHA extensions where it has them, else in scalar code,
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104; validated against RFC 4231 vectors),
+//!   with a key type that hashes its pads once for many messages,
 //! * [`p256`] — NIST P-256 elliptic-curve Diffie-Hellman on a dedicated
 //!   field element, pinned against the slow 256-bit integer stack
 //!   ([`bigint`]) that also carries the public coordinate/scalar types,
@@ -25,6 +27,7 @@
 //! # Example: derive the same link key on both sides
 //!
 //! ```
+//! use blap_crypto::hmac::HmacKey;
 //! use blap_crypto::p256::{KeyPair, Scalar};
 //! use blap_crypto::ssp;
 //! use blap_types::BdAddr;
@@ -40,12 +43,19 @@
 //! let addr_b: BdAddr = "bb:bb:bb:bb:bb:bb".parse().unwrap();
 //! let n_a = [1u8; 16];
 //! let n_b = [2u8; 16];
-//! let key_on_a = ssp::f2(&dh_ab, &n_a, &n_b, addr_a, addr_b);
-//! let key_on_b = ssp::f2(&dh_ba, &n_a, &n_b, addr_a, addr_b);
+//! let key_on_a = ssp::f2(&HmacKey::new(&dh_ab), &n_a, &n_b, addr_a, addr_b);
+//! let key_on_b = ssp::f2(&HmacKey::new(&dh_ba), &n_a, &n_b, addr_a, addr_b);
 //! assert_eq!(key_on_a, key_on_b);
 //! ```
 
-#![forbid(unsafe_code)]
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code`. One item allows it:
+//! `sha256::compress`, which calls the SHA-NI kernel after runtime
+//! detection has reported the CPU features the kernel is compiled for.
+
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

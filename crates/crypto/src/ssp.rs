@@ -16,9 +16,10 @@
 //! quantity; both protocol ends share these functions, and the published
 //! HMAC-SHA-256 vectors pin the underlying MAC.
 
+use blap_obs::prof;
 use blap_types::{BdAddr, LinkKey};
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 
 /// 128-bit nonce used throughout SSP.
 pub type Nonce = [u8; 16];
@@ -30,15 +31,25 @@ fn msb128(mac: [u8; 32]) -> [u8; 16] {
     out
 }
 
+/// Concatenates `parts` into a message of exactly `N` bytes.
+fn message<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut msg = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        msg[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "message parts fill the message");
+    msg
+}
+
 /// `f1(U, V, X, Z)` — commitment function for Authentication Stage 1.
 ///
 /// `u`/`v` are the two public-key x-coordinates, `x` the committing side's
 /// nonce, `z` zero for Numeric Comparison / Just Works.
 pub fn f1(u: &[u8; 32], v: &[u8; 32], x: &Nonce, z: u8) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(65);
-    msg.extend_from_slice(u);
-    msg.extend_from_slice(v);
-    msg.push(z);
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 65] = message(&[u, v, &[z]]);
     msb128(hmac_sha256(x, &msg))
 }
 
@@ -48,11 +59,8 @@ pub fn f1(u: &[u8; 32], v: &[u8; 32], x: &Nonce, z: u8) -> [u8; 16] {
 /// Just Works runs the same computation but auto-confirms it, which is why
 /// it offers no MITM protection.
 pub fn g(u: &[u8; 32], v: &[u8; 32], x: &Nonce, y: &Nonce) -> u32 {
-    let mut msg = Vec::with_capacity(96);
-    msg.extend_from_slice(u);
-    msg.extend_from_slice(v);
-    msg.extend_from_slice(x);
-    msg.extend_from_slice(y);
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 96] = message(&[u, v, x, y]);
     let digest = crate::sha256::digest(&msg);
     let tail = u32::from_be_bytes([digest[28], digest[29], digest[30], digest[31]]);
     tail % 1_000_000
@@ -61,24 +69,23 @@ pub fn g(u: &[u8; 32], v: &[u8; 32], x: &Nonce, y: &Nonce) -> u32 {
 /// `f2(W, N1, N2, keyID, A1, A2)` — derives the 128-bit link key from the
 /// ECDH shared secret `W` (`DHKey`), both nonces and both addresses.
 ///
+/// `w` is the DHKey keyed once for HMAC (`HmacKey::new(&dhkey)`), so `f2`
+/// and both [`f3`] checks of one transcript share its hashed pads.
 /// `keyID` is the ASCII string `"btlk"`. The output of this function is the
 /// exact secret that crosses HCI in `HCI_Link_Key_Notification` — the value
 /// the paper's extraction attack recovers from the HCI dump.
-pub fn f2(w: &[u8; 32], n1: &Nonce, n2: &Nonce, a1: BdAddr, a2: BdAddr) -> LinkKey {
-    let mut msg = Vec::with_capacity(48);
-    msg.extend_from_slice(n1);
-    msg.extend_from_slice(n2);
-    msg.extend_from_slice(b"btlk");
-    msg.extend_from_slice(&a1.to_bytes());
-    msg.extend_from_slice(&a2.to_bytes());
-    LinkKey::new(msb128(hmac_sha256(w, &msg)))
+pub fn f2(w: &HmacKey, n1: &Nonce, n2: &Nonce, a1: BdAddr, a2: BdAddr) -> LinkKey {
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 48] = message(&[n1, n2, b"btlk", &a1.to_bytes(), &a2.to_bytes()]);
+    LinkKey::new(msb128(w.mac(&msg)))
 }
 
 /// `f3(W, N1, N2, R, IOcap, A1, A2)` — check value for Authentication
 /// Stage 2; binds the IO capabilities actually exchanged into the transcript.
+/// `w` is the keyed DHKey, as for [`f2`].
 #[allow(clippy::too_many_arguments)]
 pub fn f3(
-    w: &[u8; 32],
+    w: &HmacKey,
     n1: &Nonce,
     n2: &Nonce,
     r: &Nonce,
@@ -86,34 +93,24 @@ pub fn f3(
     a1: BdAddr,
     a2: BdAddr,
 ) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(63);
-    msg.extend_from_slice(n1);
-    msg.extend_from_slice(n2);
-    msg.extend_from_slice(r);
-    msg.extend_from_slice(&io_cap);
-    msg.extend_from_slice(&a1.to_bytes());
-    msg.extend_from_slice(&a2.to_bytes());
-    msb128(hmac_sha256(w, &msg))
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 63] = message(&[n1, n2, r, &io_cap, &a1.to_bytes(), &a2.to_bytes()]);
+    msb128(w.mac(&msg))
 }
 
 /// `h3(T, A1, A2, ACO)` — Secure-Connections encryption key (`keyID =
 /// "btak"`), derived from the link key `T` after authentication completes.
 pub fn h3(t: &LinkKey, a1: BdAddr, a2: BdAddr, aco: &[u8; 8]) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(24);
-    msg.extend_from_slice(b"btak");
-    msg.extend_from_slice(&a1.to_bytes());
-    msg.extend_from_slice(&a2.to_bytes());
-    msg.extend_from_slice(aco);
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 24] = message(&[b"btak", &a1.to_bytes(), &a2.to_bytes(), aco]);
     msb128(hmac_sha256(t.as_ref(), &msg))
 }
 
 /// `h4(T, A1, A2)` — Secure-Connections device authentication key (`keyID =
 /// "btdk"`), derived from the link key `T`.
 pub fn h4(t: &LinkKey, a1: BdAddr, a2: BdAddr) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(16);
-    msg.extend_from_slice(b"btdk");
-    msg.extend_from_slice(&a1.to_bytes());
-    msg.extend_from_slice(&a2.to_bytes());
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 16] = message(&[b"btdk", &a1.to_bytes(), &a2.to_bytes()]);
     msb128(hmac_sha256(t.as_ref(), &msg))
 }
 
@@ -122,9 +119,8 @@ pub fn h4(t: &LinkKey, a1: BdAddr, a2: BdAddr) -> [u8; 16] {
 /// verifier's challenge and the 64-bit authenticated ciphering offset that
 /// feeds encryption-key derivation.
 pub fn h5(s: &[u8; 16], r1: &Nonce, r2: &Nonce) -> ([u8; 4], [u8; 8]) {
-    let mut msg = Vec::with_capacity(32);
-    msg.extend_from_slice(r1);
-    msg.extend_from_slice(r2);
+    let _prof = prof::scope("crypto.ssp");
+    let msg: [u8; 32] = message(&[r1, r2]);
     let mac = hmac_sha256(s, &msg);
     let mut sres = [0u8; 4];
     sres.copy_from_slice(&mac[..4]);
@@ -197,7 +193,7 @@ mod tests {
 
     #[test]
     fn f2_derives_equal_keys_for_equal_transcripts() {
-        let w = [0xAB; 32];
+        let w = HmacKey::new(&[0xAB; 32]);
         let n1 = [1u8; 16];
         let n2 = [2u8; 16];
         let k1 = f2(&w, &n1, &n2, addr(1), addr(2));
@@ -206,12 +202,15 @@ mod tests {
         // Any transcript difference changes the key.
         assert_ne!(k1, f2(&w, &n2, &n1, addr(1), addr(2)));
         assert_ne!(k1, f2(&w, &n1, &n2, addr(2), addr(1)));
-        assert_ne!(k1, f2(&[0xAC; 32], &n1, &n2, addr(1), addr(2)));
+        assert_ne!(
+            k1,
+            f2(&HmacKey::new(&[0xAC; 32]), &n1, &n2, addr(1), addr(2))
+        );
     }
 
     #[test]
     fn f3_binds_io_capabilities() {
-        let w = [0x11; 32];
+        let w = HmacKey::new(&[0x11; 32]);
         let n = [0u8; 16];
         let r = [9u8; 16];
         let c1 = f3(&w, &n, &n, &r, [0x03, 0x00, 0x05], addr(1), addr(2));
@@ -252,8 +251,8 @@ mod tests {
         let w_b = dev_b.diffie_hellman(&dev_a.public()).unwrap();
         let na = [0xA1; 16];
         let nb = [0xB2; 16];
-        let ka = f2(&w_a, &na, &nb, addr(0xA), addr(0xB));
-        let kb = f2(&w_b, &na, &nb, addr(0xA), addr(0xB));
+        let ka = f2(&HmacKey::new(&w_a), &na, &nb, addr(0xA), addr(0xB));
+        let kb = f2(&HmacKey::new(&w_b), &na, &nb, addr(0xA), addr(0xB));
         assert_eq!(ka, kb, "both ends must derive the same link key");
     }
 }

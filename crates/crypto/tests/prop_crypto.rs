@@ -31,6 +31,23 @@ proptest! {
     }
 
     #[test]
+    fn a_reused_hmac_key_matches_fresh_hmacs(
+        key_len in prop_oneof![Just(0usize), Just(32usize), Just(64usize), 65usize..200],
+        key_seed in any::<u8>(),
+        messages in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..160), 1..6)
+    ) {
+        // One key, keyed once, over several messages: every MAC equals a
+        // fresh one-shot HMAC and the RFC 2104 construction spelled out.
+        let key: Vec<u8> = (0usize..key_len).map(|i| key_seed.wrapping_add(i as u8)).collect();
+        let reused = hmac::HmacKey::new(&key);
+        for message in &messages {
+            let mac = reused.mac(message);
+            prop_assert_eq!(mac, hmac::hmac_sha256(&key, message));
+            prop_assert_eq!(mac, rfc2104_hmac(&key, message));
+        }
+    }
+
+    #[test]
     fn saferplus_encrypt_decrypt_inverse(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
         let ks = KeySchedule::new(&key);
         prop_assert_eq!(decrypt(&ks, &encrypt(&ks, &block)), block);
@@ -87,6 +104,7 @@ proptest! {
     fn f2_binds_every_input(w in any::<[u8; 32]>(), n1 in any::<[u8; 16]>(), n2 in any::<[u8; 16]>()) {
         let a1: BdAddr = "aa:aa:aa:aa:aa:aa".parse().unwrap();
         let a2: BdAddr = "bb:bb:bb:bb:bb:bb".parse().unwrap();
+        let w = hmac::HmacKey::new(&w);
         let base = ssp::f2(&w, &n1, &n2, a1, a2);
         prop_assert_eq!(base, ssp::f2(&w, &n1, &n2, a1, a2));
         if n1 != n2 {
@@ -100,6 +118,28 @@ proptest! {
                            x in any::<[u8; 16]>(), y in any::<[u8; 16]>()) {
         prop_assert!(ssp::g(&u, &v, &x, &y) < 1_000_000);
     }
+}
+
+/// HMAC-SHA-256 as RFC 2104 writes it: hash `key ⊕ ipad ‖ message`, then
+/// `key ⊕ opad ‖ inner`, with a key over one block hashed first.
+fn rfc2104_hmac(key: &[u8], message: &[u8]) -> [u8; 32] {
+    let key = if key.len() > 64 {
+        digest(key).to_vec()
+    } else {
+        key.to_vec()
+    };
+    let pad = |byte: u8| -> Vec<u8> {
+        (0..64)
+            .map(|i| key.get(i).copied().unwrap_or(0) ^ byte)
+            .collect()
+    };
+    let mut inner = Sha256::new();
+    inner.update(&pad(0x36));
+    inner.update(message);
+    let mut outer = Sha256::new();
+    outer.update(&pad(0x5c));
+    outer.update(&inner.finalize());
+    outer.finalize()
 }
 
 // Heavier EC properties with a reduced case count.

@@ -968,49 +968,95 @@ mod tests {
         assert_eq!(phone_key, kit_key, "both ends store the same link key");
     }
 
+    /// One SSP pairing, profiled once for every test that reads it: the
+    /// profiler's on/off switch is process-wide, so two tests toggling it
+    /// side by side would cut each other's counts short.
+    struct ProfiledPairing {
+        /// Scope entries by scope name, under a root no other test opens.
+        calls: BTreeMap<String, u64>,
+        phone_key: Option<blap_types::LinkKey>,
+        kit_key: Option<blap_types::LinkKey>,
+        memo_drained: bool,
+    }
+
+    fn profiled_pairing() -> &'static ProfiledPairing {
+        static ONCE: std::sync::OnceLock<ProfiledPairing> = std::sync::OnceLock::new();
+        ONCE.get_or_init(|| {
+            prof::set_enabled(true);
+            let (phone_key, kit_key, memo_drained) = {
+                let _root = prof::scope("one_ssp_pairing");
+                let mut world = World::new(1);
+                let phone =
+                    world.add_device(profiles::lg_velvet().victim_phone("11:11:11:11:11:11"));
+                let kit = world.add_device(profiles::car_kit("cc:cc:cc:cc:cc:cc"));
+                world
+                    .device_mut(phone)
+                    .host
+                    .pair_with(addr("cc:cc:cc:cc:cc:cc"));
+                world.run_for(Duration::from_secs(5));
+                let key = |id: DeviceId, peer: &str| {
+                    world
+                        .device(id)
+                        .host
+                        .keystore()
+                        .get(addr(peer))
+                        .map(|e| e.link_key)
+                };
+                (
+                    key(phone, "cc:cc:cc:cc:cc:cc"),
+                    key(kit, "11:11:11:11:11:11"),
+                    world.dh_memo.is_empty(),
+                )
+            };
+            prof::set_enabled(false);
+            let mut calls = BTreeMap::new();
+            for (path, node) in prof::report().walk() {
+                if let Some(inner) = path.strip_prefix("one_ssp_pairing;") {
+                    let name = inner.rsplit(';').next().unwrap_or(inner);
+                    *calls.entry(name.to_owned()).or_insert(0) += node.calls;
+                }
+            }
+            ProfiledPairing {
+                calls,
+                phone_key,
+                kit_key,
+                memo_drained,
+            }
+        })
+    }
+
     #[test]
     fn one_ssp_pairing_runs_three_p256_multiplications() {
         // Two key generations and one ECDH: the end that computes its
-        // DHKey second takes it from the world's memo. Other tests in this
-        // binary may record scopes too, so only calls under a root scope
-        // that no other test opens are counted.
-        prof::set_enabled(true);
-        let (phone_key, kit_key, memo_drained) = {
-            let _root = prof::scope("one_ssp_pairing");
-            let mut world = World::new(1);
-            let phone = world.add_device(profiles::lg_velvet().victim_phone("11:11:11:11:11:11"));
-            let kit = world.add_device(profiles::car_kit("cc:cc:cc:cc:cc:cc"));
-            world
-                .device_mut(phone)
-                .host
-                .pair_with(addr("cc:cc:cc:cc:cc:cc"));
-            world.run_for(Duration::from_secs(5));
-            let key = |id: DeviceId, peer: &str| {
-                world
-                    .device(id)
-                    .host
-                    .keystore()
-                    .get(addr(peer))
-                    .map(|e| e.link_key)
-            };
-            (
-                key(phone, "cc:cc:cc:cc:cc:cc"),
-                key(kit, "11:11:11:11:11:11"),
-                world.dh_memo.is_empty(),
-            )
-        };
-        prof::set_enabled(false);
-        let calls: u64 = prof::report()
-            .walk()
-            .iter()
-            .filter(|(path, _)| path.starts_with("one_ssp_pairing;"))
-            .filter(|(path, _)| path.ends_with(";crypto.p256"))
-            .map(|(_, node)| node.calls)
-            .sum();
-        assert_eq!(calls, 3, "P-256 multiplications for one SSP pairing");
-        assert!(phone_key.is_some());
-        assert_eq!(phone_key, kit_key, "both ends store the same link key");
-        assert!(memo_drained, "the second end consumed the memo entry");
+        // DHKey second takes it from the world's memo.
+        let pairing = profiled_pairing();
+        assert_eq!(
+            pairing.calls.get("crypto.p256"),
+            Some(&3),
+            "P-256 multiplications for one SSP pairing"
+        );
+        assert!(pairing.phone_key.is_some());
+        assert_eq!(
+            pairing.phone_key, pairing.kit_key,
+            "both ends store the same link key"
+        );
+        assert!(
+            pairing.memo_drained,
+            "the second end consumed the memo entry"
+        );
+    }
+
+    #[test]
+    fn one_ssp_pairing_makes_twelve_ssp_hash_entries() {
+        // Ten SSP functions (the responder's f1 and the initiator's check of
+        // it, a g at each end, each end's f3 and its check of the peer's f3,
+        // an f2 at each end) and each end's transcript keying its DHKey
+        // for HMAC once.
+        assert_eq!(
+            profiled_pairing().calls.get("crypto.ssp"),
+            Some(&12),
+            "crypto.ssp entries for one SSP pairing"
+        );
     }
 
     #[test]

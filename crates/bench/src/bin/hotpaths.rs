@@ -2,7 +2,8 @@
 //! covering the kernels the perf work targets — HCI encode/decode, the
 //! AES-CCM link cipher (single-frame and the batched `open_many_into`),
 //! the eavesdrop decrypt pipeline, legacy `E1`, the pincrack candidate
-//! loop, the P-256 field multiply and inversion, key generation, the
+//! loop, a one-shot HMAC-SHA-256 of an `f3`-sized message, the P-256 field
+//! multiply and inversion, key generation, the
 //! registered DHKey and the windowed-NAF ECDH (the Stage-1 exchange behind
 //! every simulated pairing), the trace read path
 //! (`StreamAnalyzer::push_line` per line, and `FrameReader::next_frame`
@@ -226,6 +227,18 @@ fn main() {
         black_box(e1::e1(black_box(&e1_key), &e1_rand, e1_addr));
     });
 
+    // SSP hashing: one one-shot HMAC-SHA-256 of an `f3`-sized (63-byte)
+    // message under a 32-byte key, pads included. Each SHA-256 block runs
+    // on the SHA-NI kernel where the CPU has it.
+    let hmac_key = [0x5Au8; 32];
+    let hmac_msg = [0xC3u8; 63];
+    let hmac_sha256_63b = ns_per_op(20_000, || {
+        black_box(blap_crypto::hmac::hmac_sha256(
+            black_box(&hmac_key),
+            black_box(&hmac_msg),
+        ));
+    });
+
     // P-256: a simulated pairing runs three fixed-base multiplications,
     // two key generations and one DHKey against the peer's registered key
     // (`(a·b mod n)·G`); the second end takes that DHKey from the world's
@@ -394,6 +407,7 @@ fn main() {
         ("eavesdrop_decrypt_frame", eavesdrop_decrypt),
         ("legacy_e1", legacy_e1),
         ("pincrack_candidate", pincrack_candidate),
+        ("hmac_sha256_63b", hmac_sha256_63b),
         ("p256_fe_mul", p256_fe_mul),
         ("p256_fe_inv", p256_fe_inv),
         ("p256_keygen", p256_keygen),
